@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import conjugacy_classes
+from .groups import _is_prime, conjugacy_classes
 
 PRIME_SEARCH_LIMIT = 2**31
 
@@ -68,30 +68,6 @@ def _dixon_prime(exponent, order):
             return q
         q += exponent
     raise CharacterError("no prime q = 1 mod %d below 2^31" % exponent)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    # deterministic Miller-Rabin, valid for n < 3.3e24
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +309,7 @@ def character_degrees(G):
     for v in vectors:
         pivot = int(np.nonzero(v)[0][0])
         piv_inv = pow(int(v[pivot]), q - 2, q)
-        omega = [int((M @ v % q)[pivot]) * piv_inv % q for M in mats]
+        omega = [int(M[pivot] @ v % q) * piv_inv % q for M in mats]
         s = 0
         for i in range(k):
             s = (s + omega[i] * omega[inv_class[i]] % q * size_inv[i]) % q

@@ -7,52 +7,27 @@ Exit status: 0 all pass, 1 any bound violation, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
-import math
 import os
 import sys
 
-from .actions import ProbabilitySpace, random_observable
 from .characters import CharacterError, character_degrees, quasirandom_degree
 from .groups import GroupConstructionError, build_group, conjugacy_classes
-from .mixing import EXACT_MAX_ORDER, mixing_bound_check
-from .recurrence import VDC_EXACT_MAX, correlation_family, triple_recurrence_error, vdc_check
-from .seeding import derive_seed
-from .sweep import ConfigError, ExperimentConfig, emit_plot_data, run_sweep
+from .sweep import (PLOT_COLUMNS, ConfigError, ExperimentConfig, _jsonable, emit_plot_data,
+                    run_sweep, sweep_group, write_csv)
 from .verify import PROFILES, run_verify
 
-MIXING_COLUMNS = ["group", "order", "action", "D", "trial", "bound", "measured", "ci", "pass"]
 RECURRENCE_COLUMNS = ["group", "order", "D", "epsilon",
                       "bound_case_i", "measured_case_i",
                       "bound_case_ii", "measured_case_ii",
                       "bound_total", "measured_total", "pass"]
-
-
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return "inf" if math.isinf(x) else "%.17g" % x
-    return str(x)
-
-
-def _emit_csv(columns, rows, out_path):
-    """Write rows to stdout, and to out_path when given."""
-    def write(fh):
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    write(sys.stdout)
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            write(fh)
-
-
-def _d_json(d):
-    return "inf" if d == math.inf else d
+COLUMNS = {
+    "mixing": ["group", "order", "action", "D", "trial", "bound", "measured", "ci", "pass"],
+    "recurrence": RECURRENCE_COLUMNS,
+    "vdc": RECURRENCE_COLUMNS,
+}
+RENAMED = {"bound_total": "bound", "measured_total": "measured"}  # subcommand -> sweep column
 
 
 def cmd_degrees(args):
@@ -63,83 +38,33 @@ def cmd_degrees(args):
         "order": G.order,
         "classes": conjugacy_classes(G).k,
         "degrees": list(deg.degrees),
-        "D": _d_json(quasirandom_degree(G)),
+        "D": quasirandom_degree(G),
     }
-    print(json.dumps(out))
+    print(json.dumps(_jsonable(out)))
     return 0
 
 
-def cmd_mixing(args):
+def cmd_check(args):
+    """mixing, recurrence, vdc: a one-group sweep of that experiment, its rows
+    renamed onto the subcommand's CSV schema."""
     G = build_group(args.group)
-    reports = mixing_bound_check(G, args.action, args.trials, args.seed,
-                                 mc_samples=args.mc, exact_max_order=EXACT_MAX_ORDER)
-    rows = [{
-        "group": r.group, "order": str(G.order), "action": r.action,
-        "D": _fmt(float(r.D) if r.D != math.inf else math.inf),
-        "trial": str(r.trial), "bound": _fmt(r.bound), "measured": _fmt(r.measured),
-        "ci": _fmt(r.ci_halfwidth), "pass": _fmt(r.passed),
-    } for r in reports]
-    _emit_csv(MIXING_COLUMNS, rows, args.out and os.path.join(args.out, "mixing.csv"))
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def cmd_recurrence(args):
-    G = build_group(args.group)
-    space = ProbabilitySpace.uniform(G.order)
-    exact = G.order <= EXACT_MAX_ORDER
-    rows, ok = [], True
-    for t in range(args.trials):
-        seed = derive_seed(args.seed, G.desc, "recurrence", t)
-        fs = [random_observable(space, derive_seed(seed, n)) for n in ("f1", "f2", "f3")]
-        r = triple_recurrence_error(
-            G, *fs, mode="exact" if exact else "monte_carlo",
-            samples=None if exact else args.mc,
-            seed=None if exact else derive_seed(seed, "g"))
-        rows.append({
-            "group": r.group, "order": str(G.order), "D": _fmt(float(r.D)),
-            "epsilon": _fmt(r.epsilon),
-            "bound_case_i": _fmt(r.bound_case_i), "measured_case_i": _fmt(r.measured_case_i),
-            "bound_case_ii": _fmt(r.bound_case_ii), "measured_case_ii": _fmt(r.measured_case_ii),
-            "bound_total": _fmt(r.bound_total), "measured_total": _fmt(r.measured_total),
-            "pass": _fmt(r.passed),
-        })
-        ok &= r.passed
-    _emit_csv(RECURRENCE_COLUMNS, rows, args.out and os.path.join(args.out, "recurrence.csv"))
-    return 0 if ok else 1
-
-
-def cmd_vdc(args):
-    G = build_group(args.group)
-    space = ProbabilitySpace.uniform(G.order)
-    exact = G.order <= VDC_EXACT_MAX
-    rows, ok = [], True
-    for t in range(args.trials):
-        seed = derive_seed(args.seed, G.desc, "vdc", t)
-        f2 = random_observable(space, derive_seed(seed, "f2"))
-        f3 = random_observable(space, derive_seed(seed, "f3"))
-        f = random_observable(space, derive_seed(seed, "f"))
-        res = vdc_check(correlation_family(G, f2, f3), f,
-                        samples=None if exact else args.mc,
-                        seed=None if exact else derive_seed(seed, "gh"))
-        rows.append({
-            "group": G.desc, "order": str(G.order), "D": "",
-            "epsilon": _fmt(res.epsilon_lhs),
-            "bound_case_i": "", "measured_case_i": "",
-            "bound_case_ii": "", "measured_case_ii": "",
-            "bound_total": _fmt(res.bound), "measured_total": _fmt(res.rhs_integral),
-            "pass": _fmt(res.passed),
-        })
-        ok &= res.passed
-    _emit_csv(RECURRENCE_COLUMNS, rows, args.out and os.path.join(args.out, "vdc.csv"))
-    return 0 if ok else 1
+    cfg = ExperimentConfig(groups=[G.desc], experiments=[args.command], trials=args.trials,
+                           master_seed=args.seed, actions=[getattr(args, "action", "left")],
+                           mc_samples=args.mc)
+    rows, _ = sweep_group(cfg, G, G.desc)
+    columns = COLUMNS[args.command]
+    out = [{c: row[RENAMED.get(c, c)] for c in columns} for row in rows]
+    write_csv(sys.stdout, columns, out)
+    if args.out:
+        with open(os.path.join(args.out, args.command + ".csv"), "w", newline="") as fh:
+            write_csv(fh, columns, out)
+    return 0 if all(row["pass"] == "true" for row in rows) else 1
 
 
 def cmd_sweep(args):
     cfg = ExperimentConfig.from_file(args.config)
-    if args.out:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.master_seed = args.seed
+    cfg = dataclasses.replace(cfg, out_dir=args.out or cfg.out_dir,   # validates the overrides
+                              master_seed=cfg.master_seed if args.seed is None else args.seed)
     _, summary = run_sweep(cfg)
     print(json.dumps({"all_pass": summary["all_pass"],
                       "out_dir": cfg.out_dir}))
@@ -149,11 +74,7 @@ def cmd_sweep(args):
 def cmd_plotdata(args):
     out_path = os.path.join(args.out, "plot.csv") if args.out else None
     rows = emit_plot_data(args.results, out_path)
-    writer = csv.DictWriter(sys.stdout, fieldnames=["group", "order", "D", "bound",
-                                                    "measured_max", "measured_mean"],
-                            lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    write_csv(sys.stdout, PLOT_COLUMNS, rows)
     return 0
 
 
@@ -169,32 +90,23 @@ def build_parser():
                     "inequalities on concrete finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True):
-        if group:
-            p.add_argument("--group", "-g", required=True, help="family descriptor, "
-                           "e.g. cyclic:8, symmetric:4, sl2:13, product:cyclic:2,sl2:5")
+    p = sub.add_parser("degrees", help="character degree multiset and D as JSON")
+    p.add_argument("--group", "-g", required=True)
+    p.set_defaults(func=cmd_degrees)
+
+    for name, text in (("mixing", "check the D^(-1/2) mixing bound"),
+                       ("recurrence", "check the triple recurrence bounds"),
+                       ("vdc", "check the quantitative van der Corput bound")):
+        p = sub.add_parser(name, help=text + " (a one-group sweep)")
+        p.add_argument("--group", "-g", required=True, help="family descriptor, "
+                       "e.g. cyclic:8, symmetric:4, sl2:13, product:cyclic:2,sl2:5")
         p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
         p.add_argument("--trials", type=int, default=10)
         p.add_argument("--mc", type=int, default=2000, help="Monte Carlo samples")
         p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("degrees", help="character degree multiset and D as JSON")
-    p.add_argument("--group", "-g", required=True)
-    p.add_argument("--json", action="store_true", help="JSON output (always on)")
-    p.set_defaults(func=cmd_degrees)
-
-    p = sub.add_parser("mixing", help="check the D^(-1/2) mixing bound")
-    common(p)
-    p.add_argument("--action", default="left", choices=["left", "right", "conjugation"])
-    p.set_defaults(func=cmd_mixing)
-
-    p = sub.add_parser("recurrence", help="check the triple recurrence bounds")
-    common(p)
-    p.set_defaults(func=cmd_recurrence)
-
-    p = sub.add_parser("vdc", help="check the quantitative van der Corput bound")
-    common(p)
-    p.set_defaults(func=cmd_vdc)
+        if name == "mixing":
+            p.add_argument("--action", default="left", choices=["left", "right", "conjugation"])
+        p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="run a configured experiment sweep")
     p.add_argument("--config", required=True, help="JSON config path")

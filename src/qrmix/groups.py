@@ -26,11 +26,24 @@ class GroupConstructionError(ValueError):
 def _is_prime(n):
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    # deterministic Miller-Rabin, valid for n < 3.3e24
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -229,6 +242,12 @@ class _Mat2(_Backend):
             if projective:
                 lut[self._flat_code((p - self.mats) % p)] = np.arange(self.n, dtype=np.int32)
             self._dense_lookup = lut
+            # pair codes u * p + v of each element's columns (a, c), (b, d) and
+            # rows (a, b), (c, d), and of every pair (u, v)
+            m = self.mats
+            self._pairs = (m[:, 0] * p + m[:, 2], m[:, 1] * p + m[:, 3],
+                           m[:, 0] * p + m[:, 1], m[:, 2] * p + m[:, 3])
+            self._uv = np.divmod(np.arange(p * p, dtype=_INDEX_DTYPE), p)
         self.identity = int(self._index_of(np.array([[1, 0, 0, 1]], dtype=_INDEX_DTYPE))[0])
 
     def _flat_code(self, mats):
@@ -251,11 +270,27 @@ class _Mat2(_Backend):
         d = (A[..., 2] * B[..., 1] + A[..., 3] * B[..., 3]) % p
         return np.stack([a, b, c, d], axis=-1)
 
+    def _pair_mul(self, x, y, z, w, k, js, scale):
+        """Indices of the products that map the pairs k, k + 1 of each js by
+        [[x, y], [z, w]]: one p^2-entry table instead of n reductions mod p."""
+        p = self.p
+        u, v = self._uv
+        T = (x * u + y * v) % p * scale + (z * u + w * v) % p
+        js = np.asarray(js)
+        code = p ** 3 // scale * T[self._pairs[k][js]] + T[self._pairs[k + 1][js]]
+        return self._dense_lookup[code].astype(_INDEX_DTYPE)
+
     def mul_vec(self, i, js):
-        return self._index_of(self._mat_mul(self.mats[i], self.mats[np.asarray(js)]))
+        if self._dense_lookup is None:
+            return self._index_of(self._mat_mul(self.mats[i], self.mats[np.asarray(js)]))
+        a, b, c, d = (int(t) for t in self.mats[i])
+        return self._pair_mul(a, b, c, d, 0, js, self.p ** 2)  # g x: columns by g
 
     def vec_mul(self, is_, j):
-        return self._index_of(self._mat_mul(self.mats[np.asarray(is_)], self.mats[j]))
+        if self._dense_lookup is None:
+            return self._index_of(self._mat_mul(self.mats[np.asarray(is_)], self.mats[j]))
+        a, b, c, d = (int(t) for t in self.mats[j])
+        return self._pair_mul(a, c, b, d, 2, is_, self.p)  # x g: rows by g's transpose
 
     def mul_pairs(self, is_, js):
         return self._index_of(self._mat_mul(self.mats[np.asarray(is_)], self.mats[np.asarray(js)]))
@@ -403,11 +438,6 @@ class GroupTable:
         if self.table is not None:
             return self.table[np.asarray(is_), np.asarray(js)]
         return self.backend.mul_pairs(is_, js)
-
-    def conj_row(self, g):
-        """x -> g x g^-1 for all x."""
-        xs = np.arange(self.order, dtype=_INDEX_DTYPE)
-        return self.vec_mul(self.mul_vec(g, xs), int(self.inv[g]))
 
     def generators(self):
         return self.backend.generators()

@@ -21,6 +21,7 @@ from .actions import (
     invariant_projection,
 )
 from .characters import quasirandom_degree
+from .groups import DENSE_LIMIT
 
 PASS_TOL = 1e-9
 IDENTITY_TOL = 1e-10
@@ -159,11 +160,22 @@ def _triple_errors(G, f1, f2, f3, gs):
     return (math.fsum(tot) / m, math.fsum(case_i) / m, math.fsum(case_ii) / m, pc3)
 
 
-def _require_linf_unit(fs):
-    for name, f in fs:
+def _triple_gs(G, f1, f2, f3, mode, samples, seed):
+    """Check a triple's inputs; the g to average over (None: every g)."""
+    fs = ((f1, "f1"), (f2, "f2"), (f3, "f3"))
+    for f, name in fs:
+        _check_space(G, f, name)
+    for f, name in fs:
         if f.norm_inf > 1.0 + NORM_TOL:
             raise PreconditionError("%s violates the L-infinity <= 1 precondition "
                                     "(norm %.6g)" % (name, f.norm_inf))
+    if mode == "exact":
+        return None
+    if mode != "monte_carlo":
+        raise ValueError("mode must be exact or monte_carlo")
+    if samples is None or seed is None:
+        raise ValueError("monte_carlo mode needs samples and seed")
+    return np.random.default_rng(seed).integers(0, G.order, samples)
 
 
 def triple_recurrence_error(G, f1, f2, f3, mode="exact", samples=None, seed=None):
@@ -172,17 +184,7 @@ def triple_recurrence_error(G, f1, f2, f3, mode="exact", samples=None, seed=None
     mode "exact" sums over every g; "monte_carlo" uses a seeded sample of
     g with exact inner sums.
     """
-    for f, name in ((f1, "f1"), (f2, "f2"), (f3, "f3")):
-        _check_space(G, f, name)
-    _require_linf_unit([("f1", f1), ("f2", f2), ("f3", f3)])
-    if mode == "exact":
-        gs = None
-    elif mode == "monte_carlo":
-        if samples is None or seed is None:
-            raise ValueError("monte_carlo mode needs samples and seed")
-        gs = np.random.default_rng(seed).integers(0, G.order, samples)
-    else:
-        raise ValueError("mode must be exact or monte_carlo")
+    gs = _triple_gs(G, f1, f2, f3, mode, samples, seed)
     D = quasirandom_degree(G)
     eps = 1.0 / math.sqrt(D)
     total, case_i, case_ii, _ = _triple_errors(G, f1, f2, f3, gs)
@@ -208,13 +210,7 @@ def case_decomposition(G, f1, f2, f3, mode="exact", samples=None, seed=None):
     Also verifies the norm facts the decomposition relies on:
     ||P_c f3||_inf <= ||f3||_inf and ||f3 - P_c f3||_2 <= ||f3||_2.
     """
-    for f, name in ((f1, "f1"), (f2, "f2"), (f3, "f3")):
-        _check_space(G, f, name)
-    _require_linf_unit([("f1", f1), ("f2", f2), ("f3", f3)])
-    if mode == "exact":
-        gs = None
-    else:
-        gs = np.random.default_rng(seed).integers(0, G.order, samples)
+    gs = _triple_gs(G, f1, f2, f3, mode, samples, seed)
     _, case_i, case_ii, pc3 = _triple_errors(G, f1, f2, f3, gs)
     if pc3.norm_inf > f3.norm_inf + NORM_TOL:
         raise PreconditionError("projection increased the L-infinity norm")
@@ -224,10 +220,19 @@ def case_decomposition(G, f1, f2, f3, mode="exact", samples=None, seed=None):
 
 
 def correlation_family(G, f2, f3):
-    """e_g(x) = f2(g^-1 x) f3(g^-1 x g) for every g."""
+    """e_g(x) = f2(g^-1 x) f3(g^-1 x g) for every g.
+
+    The family is a dense |G| x |G| array, so groups above DENSE_LIMIT,
+    which carry no dense table either, are refused before allocating it.
+    """
     _check_space(G, f2, "f2")
     _check_space(G, f3, "f3")
     n = G.order
+    if n > DENSE_LIMIT:
+        raise PreconditionError(
+            "correlation family of %s (|G| = %d) needs a |G| x |G| complex array "
+            "of %d bytes; only groups of order <= %d are supported"
+            % (G.desc, n, n * n * 16, DENSE_LIMIT))
     E = np.empty((n, n), dtype=np.complex128)
     for g in range(n):
         lrow, crow = _g_rows(G, g)

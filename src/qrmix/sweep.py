@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from .actions import ProbabilitySpace, random_observable
 from .characters import character_degrees, quasirandom_degree
 from .groups import GroupConstructionError, build_group, conjugacy_classes, parse_descriptor
-from .mixing import mixing_bound_check
-from .recurrence import VDC_EXACT_MAX, correlation_family, triple_recurrence_error, vdc_check
+from .mixing import EXACT_MAX_ORDER, mixing_bound_check
+from .recurrence import correlation_family, triple_recurrence_error, vdc_check
 from .seeding import derive_seed
 
 EXPERIMENTS = ("degrees", "mixing", "recurrence", "vdc")
@@ -43,7 +43,7 @@ class ExperimentConfig:
     trials: int = 10
     master_seed: int = 0
     actions: list = field(default_factory=lambda: list(ACTION_KINDS))
-    exact_max_order: int = 3000
+    exact_max_order: int = EXACT_MAX_ORDER
     mc_samples: int = 2000
     out_dir: str = "."
 
@@ -51,21 +51,33 @@ class ExperimentConfig:
              "exact_max_order", "mc_samples", "out_dir")
 
     def __post_init__(self):
+        for key in ("trials", "master_seed", "exact_max_order", "mc_samples"):
+            if type(getattr(self, key)) is not int:     # a bool is no count
+                raise ConfigError("%s must be an integer, got %r" % (key, getattr(self, key)))
+        for key, known in (("groups", None), ("experiments", EXPERIMENTS), ("actions", ACTION_KINDS)):
+            value = getattr(self, key)
+            if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
+                raise ConfigError("%s must be a non-empty list of strings, got %r" % (key, value))
+            for v in value:
+                if known is not None and v not in known:
+                    raise ConfigError("unknown %s %r" % (key[:-1], v))
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir must be a string, got %r" % (self.out_dir,))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError("master_seed must be in [0, 2^64)")
         if self.exact_max_order < 1:
             raise ConfigError("exact_max_order must be >= 1")
-        for e in self.experiments:
-            if e not in EXPERIMENTS:
-                raise ConfigError("unknown experiment %r" % e)
-        for a in self.actions:
-            if a not in ACTION_KINDS:
-                raise ConfigError("unknown action kind %r" % a)
+        if self.mc_samples < 30:
+            raise ConfigError("mc_samples must be >= 30")
         for g in self.groups:
             parse_descriptor(g)  # raises on bad descriptors
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(data) - set(cls._KEYS)
         if unknown:
             raise ConfigError("unknown config keys: %s" % ", ".join(sorted(unknown)))
@@ -105,24 +117,31 @@ def _row(**kw):
     return row
 
 
-def _d_value(G):
-    d = quasirandom_degree(G)
-    return float(d) if d == math.inf else d
-
-
-def _sweep_group(cfg, desc):
-    """Rows and per-group summary for one descriptor."""
-    rows = []
-    summary = {}
-    try:
-        G = build_group(desc)
-    except GroupConstructionError as exc:
-        return rows, {"error": str(exc)}
-    summary["order"] = G.order
-    summary["error"] = None
-    summary["experiments"] = {}
-    D = None
+def recurrence_trial(G, seed, samples=None):
+    """Triple recurrence on observables drawn from seed: exact over every g,
+    or over `samples` seeded g."""
     space = ProbabilitySpace.uniform(G.order)
+    fs = [random_observable(space, derive_seed(seed, n)) for n in ("f1", "f2", "f3")]
+    if samples is None:
+        return triple_recurrence_error(G, *fs)
+    return triple_recurrence_error(G, *fs, mode="monte_carlo", samples=samples,
+                                   seed=derive_seed(seed, "g"))
+
+
+def vdc_trial(G, seed, samples):
+    """van der Corput on a correlation family drawn from seed; vdc_check
+    itself decides whether to sample (g, h) pairs."""
+    space = ProbabilitySpace.uniform(G.order)
+    f2, f3, f = (random_observable(space, derive_seed(seed, n)) for n in ("f2", "f3", "f"))
+    return vdc_check(correlation_family(G, f2, f3), f, samples=samples,
+                     seed=derive_seed(seed, "gh"))
+
+
+def sweep_group(cfg, G, desc):
+    """Rows and per-group summary of the configured experiments on the group
+    G, built from the descriptor desc."""
+    rows = []
+    summary = {"order": G.order, "error": None, "experiments": {}}
     for exp in cfg.experiments:
         stats = {"trials": 0, "pass_count": 0, "fail_count": 0,
                  "max_measured": None, "bound": None, "max_ratio": None}
@@ -140,16 +159,14 @@ def _sweep_group(cfg, desc):
 
         if exp == "degrees":
             deg = character_degrees(G)
-            D = _d_value(G)
             ok = (sum(d * d for d in deg.degrees) == G.order
                   and len(deg.degrees) == conjugacy_classes(G).k)
             rows.append(_row(group=desc, order=G.order, experiment=exp, trial=0,
                              seed=derive_seed(cfg.master_seed, desc, exp, 0),
-                             D=D, **{"pass": ok}))
+                             D=quasirandom_degree(G), **{"pass": ok}))
             tally(None, None, ok)
             summary["degrees"] = list(deg.degrees)
         elif exp == "mixing":
-            D = _d_value(G) if D is None else D
             for kind in cfg.actions:
                 reports = mixing_bound_check(
                     G, kind, cfg.trials, cfg.master_seed,
@@ -163,15 +180,10 @@ def _sweep_group(cfg, desc):
                                      ci=rep.ci_halfwidth, **{"pass": rep.passed}))
                     tally(rep.bound, rep.measured, rep.passed)
         elif exp == "recurrence":
-            D = _d_value(G) if D is None else D
             exact = G.order <= cfg.exact_max_order
             for t in range(cfg.trials):
                 seed = derive_seed(cfg.master_seed, desc, exp, t)
-                fs = [random_observable(space, derive_seed(seed, n)) for n in ("f1", "f2", "f3")]
-                rep = triple_recurrence_error(
-                    G, *fs, mode="exact" if exact else "monte_carlo",
-                    samples=None if exact else cfg.mc_samples,
-                    seed=None if exact else derive_seed(seed, "g"))
+                rep = recurrence_trial(G, seed, None if exact else cfg.mc_samples)
                 rows.append(_row(group=desc, order=G.order, experiment=exp, trial=t,
                                  seed=seed, D=rep.D, epsilon=rep.epsilon,
                                  bound=rep.bound_total, measured=rep.measured_total,
@@ -182,21 +194,13 @@ def _sweep_group(cfg, desc):
         elif exp == "vdc":
             for t in range(cfg.trials):
                 seed = derive_seed(cfg.master_seed, desc, exp, t)
-                f2 = random_observable(space, derive_seed(seed, "f2"))
-                f3 = random_observable(space, derive_seed(seed, "f3"))
-                f = random_observable(space, derive_seed(seed, "f"))
-                fam = correlation_family(G, f2, f3)
-                exact = G.order <= VDC_EXACT_MAX
-                res = vdc_check(fam, f,
-                                samples=None if exact else cfg.mc_samples,
-                                seed=None if exact else derive_seed(seed, "gh"))
+                res = vdc_trial(G, seed, cfg.mc_samples)
                 rows.append(_row(group=desc, order=G.order, experiment=exp, trial=t,
                                  seed=seed, epsilon=res.epsilon_lhs,
                                  bound=res.bound, measured=res.rhs_integral,
                                  **{"pass": res.passed}))
                 tally(res.bound, res.rhs_integral, res.passed)
         summary["experiments"][exp] = stats
-    summary["D"] = D if D is not None else _d_value(G)
     return rows, summary
 
 
@@ -206,9 +210,14 @@ def run_sweep(cfg):
     all_rows = []
     groups_summary = {}
     for desc in cfg.groups:
-        rows, summary = _sweep_group(cfg, desc)
+        try:
+            G = build_group(desc)
+        except GroupConstructionError as exc:
+            groups_summary[desc] = {"error": str(exc)}
+            continue
+        rows, groups_summary[desc] = sweep_group(cfg, G, desc)
+        groups_summary[desc]["D"] = quasirandom_degree(G)
         all_rows.extend(rows)
-        groups_summary[desc] = summary
     all_pass = all(r["pass"] != "false" for r in all_rows) and \
         all(s.get("error") is None for s in groups_summary.values())
     summary = {
@@ -222,18 +231,18 @@ def run_sweep(cfg):
     return all_rows, summary
 
 
+def write_csv(fh, columns, rows):
+    writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+
+
 def write_results(path, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        write_csv(fh, RESULT_COLUMNS, rows)
 
 
 def write_summary(path, summary):
-    def default(x):
-        if isinstance(x, float) and math.isinf(x):
-            return "inf"
-        raise TypeError(x)
     with open(path, "w") as fh:
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -251,8 +260,6 @@ def _jsonable(x):
 
 def emit_plot_data(results_path, out_path=None):
     """Aggregate a results.csv into per-group (bound, measured) plot rows."""
-    if not os.path.exists(results_path):
-        raise FileNotFoundError(results_path)
     with open(results_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or reader.fieldnames != RESULT_COLUMNS:
@@ -280,7 +287,5 @@ def emit_plot_data(results_path, out_path=None):
         })
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=PLOT_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(out_rows)
+            write_csv(fh, PLOT_COLUMNS, out_rows)
     return out_rows

@@ -1,8 +1,12 @@
 """Acceptance gate: the numbered quantitative criteria, each as one test
-with its pinned tolerance, printing a single pass/fail line.
+with its pinned inputs and tolerances, printing a single pass/fail line.
 
-All randomness is seeded from MASTER; every run of this module checks the
-same inputs.
+The criteria run through the verification battery's own functions
+(qrmix.verify); each test hands them the inputs pinned here and judges the
+returned checks by the tolerances pinned here, none taken from the package.
+Every test also counts the checks it received, so a battery that skips
+inputs fails.  All randomness is seeded from MASTER; every run of this
+module checks the same inputs.
 """
 
 import json
@@ -10,32 +14,9 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from qrmix import (
-    Observable,
-    ProbabilitySpace,
-    build_group,
-    cached_action,
-    character_degrees,
-    conjugacy_classes,
-    correlation_family,
-    inner,
-    invariant_projection,
-    koopman_apply,
-    mixing_bound_check,
-    mixing_error,
-    monte_carlo_mixing_error,
-    quasirandom_degree,
-    random_observable,
-    reduction_identity_check,
-    gram_identity_check,
-    triple_recurrence_error,
-    vdc_check,
-    VectorFamily,
-    derive_seed,
-)
+from qrmix import build_group, conjugacy_classes, quasirandom_degree, verify
 
 import oracles
 
@@ -63,19 +44,17 @@ def check(num, name, ok, detail=""):
 
 
 def test_criterion_01_character_degrees():
-    ok = True
-    for desc in SUITE:
+    records = verify.crit_degrees(SUITE, MASTER, build=group).records
+    degrees = {r.group: r.report.degrees for r in records if r.name == "degree_invariants"}
+    ok = list(degrees) == SUITE
+    for desc, deg in degrees.items():
         G = group(desc)
-        deg = character_degrees(G).degrees
         ok &= sum(d * d for d in deg) == G.order
         ok &= len(deg) == conjugacy_classes(G).k
         ok &= quasirandom_degree(G) == min(d for d in deg[1:])
     for desc in ("psl2:5", "sl2:5"):      # smallest cases, independent oracle
-        G = group(desc)
-        oracle = oracles.degrees_by_eigen_multiplicity(G)
-        ok &= oracle == tuple(sorted(character_degrees(G).degrees))
-        ok &= quasirandom_degree(G) == min(d for d in oracle[1:])
-    ok &= min(d for d in oracles.degrees_by_eigen_multiplicity(group("psl2:5"))[1:]) == 3
+        ok &= oracles.degrees_by_eigen_multiplicity(group(desc)) == tuple(sorted(degrees[desc]))
+    ok &= min(degrees["psl2:5"][1:]) == 3
     check(1, "character degrees, sum of squares, oracle cross-check", ok)
 
 
@@ -84,15 +63,10 @@ def test_criterion_01_character_degrees():
 
 
 def test_criterion_02_mixing_bound():
-    worst = -math.inf
-    ok = True
-    for desc in SUITE:
-        G = group(desc)
-        for kind in ("right", "left", "conjugation"):
-            for rep in mixing_bound_check(G, kind, 200, MASTER):
-                assert rep.mode == "exact"
-                ok &= rep.measured <= rep.bound + 1e-9
-                worst = max(worst, rep.measured - rep.bound)
+    reps = [r.report for r in verify.crit_mixing(SUITE, 200, MASTER, build=group).records]
+    ok = len(reps) == 200 * 3 * len(SUITE) and all(rep.mode == "exact" for rep in reps)
+    ok &= all(rep.measured <= rep.bound + 1e-9 for rep in reps)
+    worst = max(rep.measured - rep.bound for rep in reps)
     check(2, "mixing error <= D^(-1/2) ||f1|| ||f2|| on 200 pairs x 3 actions x 7 groups",
           ok, "worst margin %.3g" % worst)
 
@@ -102,13 +76,10 @@ def test_criterion_02_mixing_bound():
 
 
 def test_criterion_03_sharpness_witness():
-    ok = True
-    for n in (5, 8, 12):
-        G = group("cyclic:%d" % n)
-        space = ProbabilitySpace.uniform(n)
-        chi = Observable(space, np.exp(2j * np.pi * np.arange(n) / n))
-        measured = mixing_error(cached_action(G, "left"), chi, chi)
-        ok &= abs(measured - 1.0) <= 1e-10
+    records = verify.crit_sharpness(["cyclic:5", "cyclic:8", "cyclic:12"], MASTER,
+                                    build=group).records
+    ok = len(records) == 3
+    ok &= all(abs(r.measured - 1.0) <= 1e-10 for r in records)
     check(3, "cyclic character pair achieves mixing error 1 within 1e-10", ok)
 
 
@@ -118,34 +89,26 @@ def test_criterion_03_sharpness_witness():
 
 @pytest.fixture(scope="module")
 def recurrence_reports():
-    reports = []
-    for p, exact in ((5, True), (7, True), (13, True), (37, False)):
-        G = group("sl2:%d" % p)
-        space = ProbabilitySpace.uniform(G.order)
-        for t in range(20):
-            seed = derive_seed(MASTER, "recurrence", G.desc, t)
-            fs = [random_observable(space, derive_seed(seed, nm))
-                  for nm in ("f1", "f2", "f3")]
-            reports.append(triple_recurrence_error(
-                G, *fs, mode="exact" if exact else "monte_carlo",
-                samples=None if exact else 2000,
-                seed=None if exact else derive_seed(seed, "g")))
-    return reports
+    return verify.recurrence_reports(["sl2:5", "sl2:7", "sl2:13"], ["sl2:37"],
+                                     trials=20, samples=2000, master=MASTER, build=group)
 
 
+@pytest.mark.slow
 def test_criterion_04_triple_recurrence(recurrence_reports):
-    ok = True
-    for rep in recurrence_reports:
-        ok &= rep.measured_total <= 4.0 * rep.D ** -0.25 + 1e-9
-    sl2_37 = [r for r in recurrence_reports if r.group == "sl2:37"]
-    ok &= len(sl2_37) == 20 and all(r.D == 18 for r in sl2_37)
+    reps = [r.report for r in verify.crit_recurrence(recurrence_reports).records]
+    ok = len(reps) == 80
+    ok &= all(rep.measured_total <= 4.0 * rep.D ** -0.25 + 1e-9 for rep in reps)
+    sl2_37 = [rep for rep in reps if rep.group == "sl2:37"]
+    ok &= len(sl2_37) == 20 and all(rep.D == 18 for rep in sl2_37)
     ok &= 4.0 * 18 ** -0.25 < 2.0     # non-vacuous against the trivial ceiling
     check(4, "triple recurrence <= 4 D^(-1/4), sl2 p in {5,7,13} exact, p=37 sampled", ok)
 
 
+@pytest.mark.slow
 def test_criterion_05_case_decomposition(recurrence_reports):
-    ok = True
-    for rep in recurrence_reports:
+    reps = [r.report for r in verify.crit_cases(recurrence_reports).records]
+    ok = len(reps) == 80
+    for rep in reps:
         eps = rep.D ** -0.5
         ok &= rep.measured_case_i <= eps + 1e-9
         ok &= rep.measured_case_ii <= math.sqrt(5.0 * eps) + 1e-9
@@ -158,28 +121,19 @@ def test_criterion_05_case_decomposition(recurrence_reports):
 
 
 def test_criterion_06_van_der_corput():
-    ok = True
     small = [d for d in SUITE if group(d).order <= 512] + \
         ["cyclic:5", "cyclic:8", "cyclic:12"]
-    for desc in small:
-        G = group(desc)
-        n = G.order
-        fam = VectorFamily(group=G, space=ProbabilitySpace.uniform(n),
-                           vectors=math.sqrt(n) * np.eye(n, dtype=np.complex128),
-                           l2_bound=1.0)
-        res = vdc_check(fam, Observable(fam.space, np.ones(n)))
+    records = verify.crit_vdc(small, ["symmetric:4", "sl2:5"], 100, MASTER,
+                              build=group).records
+    delta = [r for r in records if r.name == "vdc_delta_closed_form"]
+    corr = [r.report for r in records if r.name == "vdc_correlation"]
+    ok = len(delta) == 9 and len(corr) == 200
+    for r in delta:
+        n = group(r.group).order
         # closed form 1/|G|, reproduced to the rounding of sqrt(|G|)
-        ok &= abs(res.epsilon_lhs - 1.0 / n) <= 1e-13 / n
-        ok &= abs(res.rhs_integral - res.bound) <= 1e-10
-    for desc in ("symmetric:4", "sl2:5"):
-        G = group(desc)
-        space = ProbabilitySpace.uniform(G.order)
-        for t in range(100):
-            seed = derive_seed(MASTER, "vdc", desc, t)
-            f2 = random_observable(space, derive_seed(seed, "f2"))
-            f3 = random_observable(space, derive_seed(seed, "f3"))
-            f = random_observable(space, derive_seed(seed, "f"))
-            ok &= vdc_check(correlation_family(G, f2, f3), f).passed
+        ok &= abs(r.report.epsilon_lhs - 1.0 / n) <= 1e-13 / n
+        ok &= abs(r.report.rhs_integral - r.report.bound) <= 1e-10
+    ok &= all(res.rhs_integral <= res.bound + 1e-9 for res in corr)
     check(6, "delta family closed form + 100 correlation families per group", ok)
 
 
@@ -188,28 +142,10 @@ def test_criterion_06_van_der_corput():
 
 
 def test_criterion_07_mean_ergodic_projection():
-    ok = True
-    worst = 0.0
-    for desc in [d for d in SUITE if group(d).order <= 360]:
-        G = group(desc)
-        space = ProbabilitySpace.uniform(G.order)
-        for kind in ("left", "right", "conjugation"):
-            a = cached_action(G, kind)
-            for t in range(50):
-                seed = derive_seed(MASTER, "projection", desc, kind, t)
-                f = random_observable(space, derive_seed(seed, "f"))
-                h = random_observable(space, derive_seed(seed, "h"))
-                pf = invariant_projection(a, f)
-                dev = float(np.max(np.abs(invariant_projection(a, pf).values - pf.values)))
-                dev = max(dev, abs(inner(space, pf, h)
-                                   - inner(space, f, invariant_projection(a, h))))
-                for g in range(G.order):
-                    dev = max(dev, float(np.max(np.abs(
-                        koopman_apply(a, g, pf).values - pf.values))))
-                if kind in ("left", "right"):
-                    mean = np.mean(f.values)
-                    dev = max(dev, float(np.max(np.abs(pf.values - mean))))
-                worst = max(worst, dev)
+    groups = [d for d in SUITE if group(d).order <= 360]
+    records = verify.crit_projection(groups, 50, MASTER, build=group).records
+    worst = max(r.measured for r in records)
+    ok = len(records) == 50 * 3 * len(groups) == 900
     ok &= worst <= 1e-10
     check(7, "projection idempotent, self-adjoint, invariant; ergodic mean", ok,
           "worst deviation %.3g" % worst)
@@ -220,19 +156,10 @@ def test_criterion_07_mean_ergodic_projection():
 
 
 def test_criterion_08_reduction_identity():
-    ok = True
-    worst = 0.0
-    for desc in [d for d in SUITE if group(d).order <= 60]:
-        G = group(desc)
-        space = ProbabilitySpace.uniform(G.order)
-        for kind in ("conjugation", "left"):
-            a = cached_action(G, kind)
-            for t in range(3):
-                seed = derive_seed(MASTER, "reduction", desc, kind, t)
-                f1 = random_observable(space, derive_seed(seed, "f1"))
-                f2 = random_observable(space, derive_seed(seed, "f2"))
-                for g in range(G.order):
-                    worst = max(worst, reduction_identity_check(a, f1, f2, g)[2])
+    groups = [d for d in SUITE if group(d).order <= 60]
+    records = verify.crit_reduction(groups, MASTER, build=group).records
+    worst = max(r.measured for r in records)
+    ok = len(records) == 3 * 2 * len(groups) == 18
     ok &= worst <= 1e-10
     check(8, "action-to-right-translation reduction, exhaustive over g", ok,
           "worst discrepancy %.3g" % worst)
@@ -243,17 +170,10 @@ def test_criterion_08_reduction_identity():
 
 
 def test_criterion_09_gram_identity():
-    ok = True
-    worst = 0.0
-    for desc in [d for d in SUITE if group(d).order <= 60]:
-        G = group(desc)
-        space = ProbabilitySpace.uniform(G.order)
-        seed = derive_seed(MASTER, "gram", desc)
-        f2 = Observable(space, random_observable(space, derive_seed(seed, "f2")).values.real)
-        f3 = Observable(space, random_observable(space, derive_seed(seed, "f3")).values.real)
-        for g in range(G.order):
-            for h in range(G.order):
-                worst = max(worst, gram_identity_check(G, f2, f3, g, h).discrepancy)
+    groups = [d for d in SUITE if group(d).order <= 60]
+    records = verify.crit_gram(groups, MASTER, build=group).records
+    worst = max(r.measured for r in records)
+    ok = [r.group for r in records] == groups == ["symmetric:3", "symmetric:4", "psl2:5"]
     ok &= worst <= 1e-10
     check(9, "Gram identity, exhaustive (g, h), real inputs", ok,
           "worst discrepancy %.3g" % worst)
@@ -264,19 +184,12 @@ def test_criterion_09_gram_identity():
 
 
 def test_criterion_10_estimator_consistency():
-    ok = True
-    for desc in ("cyclic:64", "symmetric:5"):
-        G = group(desc)
-        a = cached_action(G, "left")
-        f1 = random_observable(a.space, derive_seed(MASTER, "estimator", desc, "f1"))
-        f2 = random_observable(a.space, derive_seed(MASTER, "estimator", desc, "f2"))
-        exact = mixing_error(a, f1, f2)
-        hits = 0
-        for s in range(100):
-            est, ci = monte_carlo_mixing_error(
-                a, f1, f2, 200, derive_seed(MASTER, "estimator", desc, s))
-            hits += abs(est - exact) <= 3.0 * ci
-        ok &= hits >= 95
+    groups = ["cyclic:64", "symmetric:5"]
+    records = verify.crit_estimator(groups, 100, 200, MASTER, build=group).records
+    ok = len(records) == 200
+    for desc in groups:
+        seeds = [r for r in records if r.group == desc]
+        ok &= len(seeds) == 100 and sum(r.measured <= 3.0 * r.ci for r in seeds) >= 95
     check(10, "Monte Carlo estimate within 3 ci of exact in >= 95/100 seeds", ok)
 
 

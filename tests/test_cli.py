@@ -91,8 +91,16 @@ def test_vdc_csv(capsys):
     code, out, _ = run_cli(capsys, "vdc", "-g", "symmetric:3",
                            "--trials", "2", "--seed", "1")
     assert code == 0
+    _, rec, _ = run_cli(capsys, "recurrence", "-g", "symmetric:3", "--trials", "1")
+    assert out.splitlines()[0] == rec.splitlines()[0]     # the recurrence schema
     for r in _parse_csv(out):
         assert float(r["measured_total"]) <= float(r["bound_total"]) + 1e-9
+
+
+def test_vdc_sampled_needs_no_degrees(capsys):
+    # 600 classes is past the degree computation's range; vdc samples (g, h)
+    code, out, _ = run_cli(capsys, "vdc", "-g", "cyclic:600", "--trials", "1", "--mc", "100")
+    assert code == 0 and len(_parse_csv(out)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +172,41 @@ def test_config_invariants():
                                     "experiments": ["nope"]})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiments": ["mixing"]})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"trials": "3"}, {"trials": 1.5}, {"trials": True}, {"groups": "cyclic:5"},
+    {"groups": []}, {"experiments": []}, {"actions": []}, {"mc_samples": 5},
+    {"master_seed": -1},
+], ids=lambda o: json.dumps(o))
+def test_sweep_rejects_invalid_config(tmp_path, capsys, overrides):
+    code, out, err = run_cli(capsys, "sweep", "--config", _config(tmp_path, **overrides))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s " % next(iter(overrides))) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_non_object_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(["cyclic:5"]))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("mixing", "-g", "cyclic:5", "--trials", "0"),
+    ("recurrence", "-g", "cyclic:5", "--trials", "0"),
+    ("verify", "--profile", "quick", "--inflate-d", "-1"),
+    ("verify", "--profile", "quick", "--seed", "-1"),
+    ("mixing", "-g", "cyclic:5", "--seed", "-1"),
+    # |G| = 4896 is above the dense limit: refused before the |G|^2 family
+    ("vdc", "-g", "sl2:17", "--trials", "1"),
+], ids=" ".join)
+def test_cli_rejects_invalid_input(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,27 @@ def test_sl2_multiplication_matches_matrix_product():
         assert G.mul(int(i), int(j)) == label_to_idx[lab]
 
 
+@pytest.mark.parametrize("desc", ["sl2:17", "psl2:17"])
+def test_sl2_rows_match_matrix_products(desc):
+    # sl2:17 is above the dense-table limit, so mul_vec/vec_mul run the backend
+    G = build_group(desc)
+    p = 17
+
+    def mats(idx):
+        return np.array([json.loads(G.label(int(i)).lstrip("±")) for i in idx])
+
+    rng = np.random.default_rng(4)
+    xs = rng.integers(0, G.order, 60)
+    X = mats(xs)
+    for g in rng.integers(0, G.order, 4):
+        M = mats([g])[0]
+        for got, want in ((G.mul_vec(g, xs), M @ X % p), (G.vec_mul(xs, g), X @ M % p)):
+            same = np.all(mats(got) == want, axis=(1, 2))
+            if desc.startswith("psl2"):
+                same |= np.all(mats(got) == -want % p, axis=(1, 2))
+            assert same.all()
+
+
 def test_dihedral_relations():
     G = build_group("dihedral:5")
     r, s = 1, 5   # encoding: index a*n + k is s^a r^k
