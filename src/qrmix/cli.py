@@ -51,7 +51,7 @@ def cmd_check(args):
     cfg = ExperimentConfig(groups=[G.desc], experiments=[args.command], trials=args.trials,
                            master_seed=args.seed, actions=[getattr(args, "action", "left")],
                            mc_samples=args.mc)
-    rows, _ = sweep_group(cfg, G, G.desc)
+    rows, _ = sweep_group(cfg, G)
     columns = COLUMNS[args.command]
     out = [{c: row[RENAMED.get(c, c)] for c in columns} for row in rows]
     write_csv(sys.stdout, columns, out)

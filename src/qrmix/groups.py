@@ -208,104 +208,81 @@ class _Perm(_Backend):
 
 
 class _Mat2(_Backend):
-    """SL(2,p), or PSL(2,p) as +/- orbits labeled by the lex-smaller matrix."""
+    """SL(2,p), or PSL(2,p) as +/- orbits labeled by the lex-smaller matrix.
+
+    Elements are in lexicographic order of (a, b, c, d), and a label's first
+    nonzero entry is at most h (p - 1 in SL, (p - 1) / 2 in PSL).  So a matrix,
+    negated if that entry exceeds h, has index p * rank(a, b) + (c if a else d),
+    two lookups in p^2-entry tables on the pair codes of its rows or columns.
+    """
 
     def __init__(self, p, projective):
         self.p = p
         self.projective = projective
+        h = (p - 1) // 2 if projective else p - 1
         inv_t = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=_INDEX_DTYPE)
         ar = np.arange(p, dtype=_INDEX_DTYPE)
-        # a != 0: d determined by det = 1
-        a, b, c = (x.ravel() for x in np.meshgrid(ar[1:], ar, ar, indexing="ij"))
-        d = (1 + b * c) % p * inv_t[a] % p
-        # a == 0: bc = -1, d free
-        b0, d0 = (x.ravel() for x in np.meshgrid(ar[1:], ar, indexing="ij"))
-        a0 = np.zeros_like(b0)
-        c0 = (-inv_t[b0]) % p
-        mats = np.stack(
-            [np.concatenate([a, a0]), np.concatenate([b, b0]),
-             np.concatenate([c, c0]), np.concatenate([d, d0])], axis=1
-        )
-        codes = self._flat_code(mats)
-        if projective:
-            keep = codes < self._flat_code((p - mats) % p)
-            mats, codes = mats[keep], codes[keep]
-        order = np.argsort(codes)
-        self.mats = mats[order]
-        self.codes = codes[order]
-        self.n = len(self.mats)
-        # dense code -> index map: one gather instead of a binary search
-        self._dense_lookup = None
-        if p ** 4 <= 20_000_000:
-            lut = np.full(p ** 4, -1, dtype=np.int32)
-            lut[self.codes] = np.arange(self.n, dtype=np.int32)
-            if projective:
-                lut[self._flat_code((p - self.mats) % p)] = np.arange(self.n, dtype=np.int32)
-            self._dense_lookup = lut
-            # pair codes u * p + v of each element's columns (a, c), (b, d) and
-            # rows (a, b), (c, d), and of every pair (u, v)
-            m = self.mats
-            self._pairs = (m[:, 0] * p + m[:, 2], m[:, 1] * p + m[:, 3],
-                           m[:, 0] * p + m[:, 1], m[:, 2] * p + m[:, 3])
-            self._uv = np.divmod(np.arange(p * p, dtype=_INDEX_DTYPE), p)
-        self.identity = int(self._index_of(np.array([[1, 0, 0, 1]], dtype=_INDEX_DTYPE))[0])
+        # in index order: a == 0 (bc = -1, d free), then a != 0 (det = 1 fixes d)
+        b0, d0 = (x.ravel() for x in np.meshgrid(ar[1:h + 1], ar, indexing="ij"))
+        a1, b1, c1 = (x.ravel() for x in np.meshgrid(ar[1:h + 1], ar, ar, indexing="ij"))
+        a, b = np.concatenate([0 * b0, a1]), np.concatenate([b0, b1])
+        c = np.concatenate([-inv_t[b0] % p, c1])
+        d = np.concatenate([d0, (1 + b1 * c1) % p * inv_t[a1] % p])
+        self.n = len(a)
+        self._rows = (a * p + b, c * p + d)
+        self._cols = (a * p + c, b * p + d)
+        # tables over the pair codes u * p + v; neg: the pair as a first row
+        # needs the matrix negated; _Z picks the second pair's table section
+        u, v = self._uv = np.divmod(np.arange(p * p, dtype=_INDEX_DTYPE), p)
+        neg = (u > h) | (u == 0) & (v > h)
+        su, sv = np.where(neg, -u % p, u), np.where(neg, -v % p, v)
+        rank = su * p + sv - 1 + (h + 1 - p) * (u != 0)
+        self._Z = p * p * (2 * (u == 0) + neg)
+        self._RA = p * rank                                   # rows (a, b), (c, d)
+        self._RB = np.stack([u, -u % p, v, -v % p])
+        self._CA = np.where(u == 0, 0, p * (rank - sv) + sv)   # columns (a, c), (b, d)
+        self._CB = np.stack([p * u, p * (-u % p), p * (su - 1) + sv, p * (su - 1) + sv])
+        self.identity = int(self._index(1, 0, 0, 1))
 
-    def _flat_code(self, mats):
-        p = self.p
-        return ((mats[..., 0] * p + mats[..., 1]) * p + mats[..., 2]) * p + mats[..., 3]
+    def _index(self, a, b, c, d):
+        """Indices of the matrices [[a, b], [c, d]], entries reduced mod p."""
+        first = a * self.p + b
+        return self._RA[first] + self._RB.ravel()[self._Z[first] + c * self.p + d]
 
-    def _index_of(self, mats):
-        codes = self._flat_code(mats)
-        if self._dense_lookup is not None:
-            return self._dense_lookup[codes].astype(_INDEX_DTYPE)
-        if self.projective:
-            codes = np.minimum(codes, self._flat_code((self.p - mats) % self.p))
-        return _lookup(self.codes, codes)
+    def _entries(self, idx):
+        return divmod(self._rows[0][idx], self.p) + divmod(self._rows[1][idx], self.p)
 
-    def _mat_mul(self, A, B):
-        p = self.p
-        a = (A[..., 0] * B[..., 0] + A[..., 1] * B[..., 2]) % p
-        b = (A[..., 0] * B[..., 1] + A[..., 1] * B[..., 3]) % p
-        c = (A[..., 2] * B[..., 0] + A[..., 3] * B[..., 2]) % p
-        d = (A[..., 2] * B[..., 1] + A[..., 3] * B[..., 3]) % p
-        return np.stack([a, b, c, d], axis=-1)
-
-    def _pair_mul(self, x, y, z, w, k, js, scale):
-        """Indices of the products that map the pairs k, k + 1 of each js by
-        [[x, y], [z, w]]: one p^2-entry table instead of n reductions mod p."""
+    def _pair_mul(self, x, y, z, w, pairs, A, B, idx):
+        """Indices of the elements idx with both pairs mapped by [[x, y], [z, w]]:
+        tables A, B composed with the map, then three gathers per element."""
         p = self.p
         u, v = self._uv
-        T = (x * u + y * v) % p * scale + (z * u + w * v) % p
-        js = np.asarray(js)
-        code = p ** 3 // scale * T[self._pairs[k][js]] + T[self._pairs[k + 1][js]]
-        return self._dense_lookup[code].astype(_INDEX_DTYPE)
+        M = (x * u + y * v) % p * p + (z * u + w * v) % p
+        P, Q = (t[np.asarray(idx)] for t in pairs)
+        return A[M][P] + B.take(M, axis=1).ravel()[self._Z[M][P] + Q]
 
     def mul_vec(self, i, js):
-        if self._dense_lookup is None:
-            return self._index_of(self._mat_mul(self.mats[i], self.mats[np.asarray(js)]))
-        a, b, c, d = (int(t) for t in self.mats[i])
-        return self._pair_mul(a, b, c, d, 0, js, self.p ** 2)  # g x: columns by g
+        a, b, c, d = (int(t) for t in self._entries(i))
+        return self._pair_mul(a, b, c, d, self._cols, self._CA, self._CB, js)  # g x: columns by g
 
     def vec_mul(self, is_, j):
-        if self._dense_lookup is None:
-            return self._index_of(self._mat_mul(self.mats[np.asarray(is_)], self.mats[j]))
-        a, b, c, d = (int(t) for t in self.mats[j])
-        return self._pair_mul(a, c, b, d, 2, is_, self.p)  # x g: rows by g's transpose
+        a, b, c, d = (int(t) for t in self._entries(j))
+        return self._pair_mul(a, c, b, d, self._rows, self._RA, self._RB, is_)  # x g: rows by g^T
 
     def mul_pairs(self, is_, js):
-        return self._index_of(self._mat_mul(self.mats[np.asarray(is_)], self.mats[np.asarray(js)]))
+        (a, b, c, d), (x, y, z, w), p = self._entries(is_), self._entries(js), self.p
+        return self._index((a * x + b * z) % p, (a * y + b * w) % p,
+                           (c * x + d * z) % p, (c * y + d * w) % p)
 
     def inv_all(self):
-        m = self.mats
-        invm = np.stack([m[:, 3], (-m[:, 1]) % self.p, (-m[:, 2]) % self.p, m[:, 0]], axis=1)
-        return self._index_of(invm)
+        a, b, c, d = self._entries(np.arange(self.n))
+        return self._index(d, -b % self.p, -c % self.p, a)
 
     def generators(self):
-        gens = self._index_of(np.array([[1, 1, 0, 1], [1, 0, 1, 1]], dtype=_INDEX_DTYPE))
-        return sorted(set(int(g) for g in gens))
+        return sorted({int(self._index(1, 1, 0, 1)), int(self._index(1, 0, 1, 1))})
 
     def label(self, i):
-        a, b, c, d = (int(v) for v in self.mats[i])
+        a, b, c, d = (int(t) for t in self._entries(i))
         body = "[[%d,%d],[%d,%d]]" % (a, b, c, d)
         return ("±" + body) if self.projective else body
 
@@ -422,7 +399,7 @@ class GroupTable:
     def mul(self, i, j):
         if self.table is not None:
             return int(self.table[i, j])
-        return int(self.backend.mul_vec(i, np.array([j]))[0])
+        return int(self.backend.mul_pairs(np.array([i]), np.array([j]))[0])
 
     def mul_vec(self, i, js):
         if self.table is not None:
@@ -514,6 +491,16 @@ def _build_backend(tree):
     raise GroupConstructionError("unsupported family %r" % kind)
 
 
+def canonical_descriptor(desc):
+    """The one spelling of a descriptor that build_group gives as desc."""
+    return _canonical(parse_descriptor(desc))
+
+
+def group_order(desc):
+    """|G| of a descriptor, from its backend alone (no table, no inverses)."""
+    return _build_backend(parse_descriptor(desc)).n
+
+
 def build_group(desc):
     """Construct a group from a family descriptor string (or parsed tree)."""
     tree = parse_descriptor(desc) if isinstance(desc, str) else desc
@@ -552,7 +539,9 @@ def conjugacy_classes(G):
             class_of[orbit] = len(members_per_class)
             members_per_class.append(orbit)
     else:
-        gens = G.generators()
+        # conjugation by each generator, as a permutation of the elements
+        xs = np.arange(n, dtype=_INDEX_DTYPE)
+        conj = [G.vec_mul(G.mul_vec(g, xs), int(G.inv[g])) for g in G.generators()]
         seen = np.zeros(n, dtype=bool)
         for seed in range(n):
             if seen[seed]:
@@ -562,8 +551,8 @@ def conjugacy_classes(G):
             orbit = [frontier]
             while len(frontier):
                 new = []
-                for g in gens:
-                    u = G.vec_mul(G.mul_vec(g, frontier), int(G.inv[g]))
+                for perm in conj:
+                    u = perm[frontier]
                     fresh = u[~seen[u]]
                     if len(fresh):
                         fresh = np.unique(fresh)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from .actions import ProbabilitySpace, random_observable
 from .characters import character_degrees, quasirandom_degree
-from .groups import GroupConstructionError, build_group, conjugacy_classes, parse_descriptor
+from .groups import (DENSE_LIMIT, GroupConstructionError, build_group, canonical_descriptor,
+                     conjugacy_classes, group_order)
 from .mixing import EXACT_MAX_ORDER, mixing_bound_check
 from .recurrence import correlation_family, triple_recurrence_error, vdc_check
 from .seeding import derive_seed
@@ -71,8 +72,17 @@ class ExperimentConfig:
             raise ConfigError("exact_max_order must be >= 1")
         if self.mc_samples < 30:
             raise ConfigError("mc_samples must be >= 30")
-        for g in self.groups:
-            parse_descriptor(g)  # raises on bad descriptors
+        self.groups = [canonical_descriptor(g) for g in self.groups]  # raises on bad ones
+        if len(set(self.groups)) < len(self.groups):
+            raise ConfigError("groups name one group twice: %s" % ", ".join(self.groups))
+        for g in self.groups if "vdc" in self.experiments else []:
+            try:
+                order = group_order(g)
+            except GroupConstructionError:
+                continue    # run_sweep reports it as the group's error
+            if order > DENSE_LIMIT:     # the correlation family is |G| x |G|
+                raise ConfigError("experiments: vdc needs |G| <= %d, and %s has order %d"
+                                  % (DENSE_LIMIT, g, order))
 
     @classmethod
     def from_dict(cls, data):
@@ -137,9 +147,9 @@ def vdc_trial(G, seed, samples):
                      seed=derive_seed(seed, "gh"))
 
 
-def sweep_group(cfg, G, desc):
-    """Rows and per-group summary of the configured experiments on the group
-    G, built from the descriptor desc."""
+def sweep_group(cfg, G):
+    """Rows and per-group summary of the configured experiments on the group G."""
+    desc = G.desc
     rows = []
     summary = {"order": G.order, "error": None, "experiments": {}}
     for exp in cfg.experiments:
@@ -215,7 +225,7 @@ def run_sweep(cfg):
         except GroupConstructionError as exc:
             groups_summary[desc] = {"error": str(exc)}
             continue
-        rows, groups_summary[desc] = sweep_group(cfg, G, desc)
+        rows, groups_summary[desc] = sweep_group(cfg, G)
         groups_summary[desc]["D"] = quasirandom_degree(G)
         all_rows.extend(rows)
     all_pass = all(r["pass"] != "false" for r in all_rows) and \

@@ -3,10 +3,13 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 from qrmix import ExperimentConfig, ConfigError, build_group, character_degrees, emit_plot_data, run_sweep
+from qrmix import sweep
 from qrmix.cli import main
 from qrmix.sweep import RESULT_COLUMNS, write_results
 
@@ -177,12 +180,38 @@ def test_config_invariants():
 @pytest.mark.parametrize("overrides", [
     {"trials": "3"}, {"trials": 1.5}, {"trials": True}, {"groups": "cyclic:5"},
     {"groups": []}, {"experiments": []}, {"actions": []}, {"mc_samples": 5},
-    {"master_seed": -1},
+    {"master_seed": -1}, {"groups": ["sl2:05", "sl2:5"]},
 ], ids=lambda o: json.dumps(o))
 def test_sweep_rejects_invalid_config(tmp_path, capsys, overrides):
     code, out, err = run_cli(capsys, "sweep", "--config", _config(tmp_path, **overrides))
     assert code == 2 and out == ""
     assert err.startswith("error: %s " % next(iter(overrides))) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_keys_on_canonical_descriptor(tmp_path, capsys):
+    # sl2:05 is sl2:5: the same rows, seeds and summary, byte for byte
+    outputs = []
+    for name, spelling in (("a", "sl2:05"), ("b", "sl2:5")):
+        cfg = _config(tmp_path, groups=[spelling], experiments=list(sweep.EXPERIMENTS),
+                      out_dir=str(tmp_path / name))
+        assert run_cli(capsys, "sweep", "--config", cfg)[0] == 0
+        outputs.append([(tmp_path / name / f).read_bytes()
+                        for f in ("results.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+    assert b"sl2:05" not in outputs[0][0] + outputs[0][1]
+
+
+def test_sweep_refuses_oversized_vdc_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started")
+    for name in ("build_group", "sweep_group", "mixing_bound_check", "vdc_trial"):
+        monkeypatch.setattr(sweep, name, no_work)
+    # |G| = 4896 for sl2:17, above the dense limit; sl2:5 comes first
+    cfg = _config(tmp_path, groups=["sl2:5", "sl2:17"], experiments=["mixing", "vdc"])
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+    assert code == 2 and out == ""
+    assert err.startswith("error: experiments: vdc ") and "sl2:17" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -247,6 +276,33 @@ def test_plotdata_missing_file_exits_2(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "plotdata", "--results",
                          str(tmp_path / "nope.csv"))
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# golden outputs of commit 7b3b31d, before the SL2/PSL2 closed-form index,
+# written with one BLAS thread: a long complex dot product is summed per
+# thread, so its last digits depend on the thread count
+
+
+@pytest.mark.parametrize("argv, files", [
+    (("verify", "--profile", "quick", "--seed", "0"),
+     {"verify_results.csv": "verify_results.csv", "verify_summary.json": "verify_summary.json"}),
+    (("recurrence", "-g", "sl2:37", "--trials", "1", "--mc", "30", "--seed", "7"),
+     {"recurrence.csv": "recurrence_sl2_37.csv"}),
+    (("mixing", "-g", "psl2:67", "--action", "conjugation", "--trials", "1", "--mc", "30",
+      "--seed", "7"), {"mixing.csv": "mixing_psl2_67_conjugation.csv"}),
+], ids=["verify-quick-seed0", "recurrence-sl2:37", "mixing-psl2:67-conjugation"])
+def test_outputs_match_golden_files(tmp_path, argv, files):
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "qrmix", *argv, "--out", str(tmp_path)],
+                         env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    for name, golden in files.items():
+        with open(os.path.join(here, "golden", golden), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read()
 
 
 # ---------------------------------------------------------------------------

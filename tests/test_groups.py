@@ -82,25 +82,52 @@ def test_sl2_multiplication_matches_matrix_product():
         assert G.mul(int(i), int(j)) == label_to_idx[lab]
 
 
-@pytest.mark.parametrize("desc", ["sl2:17", "psl2:17"])
+@pytest.mark.parametrize("desc", ["sl2:3", "psl2:3", "sl2:17", "psl2:17", "sl2:61",
+                                  "sl2:67", "psl2:67", "psl2:101"])
 def test_sl2_rows_match_matrix_products(desc):
-    # sl2:17 is above the dense-table limit, so mul_vec/vec_mul run the backend
+    # orders above the dense-table limit (4896 for sl2:17) run the backend
     G = build_group(desc)
-    p = 17
+    p = int(desc.split(":")[1])
 
     def mats(idx):
         return np.array([json.loads(G.label(int(i)).lstrip("±")) for i in idx])
 
+    def same(got, want):
+        ok = np.all(mats(got) == want % p, axis=(1, 2))
+        if desc.startswith("psl2"):
+            ok |= np.all(mats(got) == -want % p, axis=(1, 2))
+        return ok.all()
+
     rng = np.random.default_rng(4)
-    xs = rng.integers(0, G.order, 60)
-    X = mats(xs)
+    xs, ys = rng.integers(0, G.order, (2, 60))
+    X, Y = mats(xs), mats(ys)
     for g in rng.integers(0, G.order, 4):
         M = mats([g])[0]
-        for got, want in ((G.mul_vec(g, xs), M @ X % p), (G.vec_mul(xs, g), X @ M % p)):
-            same = np.all(mats(got) == want, axis=(1, 2))
-            if desc.startswith("psl2"):
-                same |= np.all(mats(got) == -want % p, axis=(1, 2))
-            assert same.all()
+        assert same(G.mul_vec(g, xs), M @ X) and same(G.vec_mul(xs, g), X @ M)
+    assert same(G.mul_pairs(xs, ys), X @ Y)
+    adjugate = np.stack([np.stack([X[:, 1, 1], -X[:, 0, 1]], 1),
+                         np.stack([-X[:, 1, 0], X[:, 0, 0]], 1)], 1)
+    assert same(G.inv[xs], adjugate)
+
+
+@pytest.mark.parametrize("desc", ["sl2:3", "psl2:3", "sl2:5", "psl2:5", "sl2:13", "psl2:13",
+                                  "psl2:101"])
+def test_sl2_labels_in_lex_order(desc):
+    # the canonical matrices, each once, in strictly increasing (a, b, c, d)
+    # order: this pins every element's index
+    G = build_group(desc)
+    p = int(desc.split(":")[1])
+    assert G.order == p * (p * p - 1) // (2 if desc.startswith("psl2") else 1)
+    idx = range(G.order) if G.order <= 5000 else np.sort(
+        np.random.default_rng(5).choice(G.order, 3000, replace=False))
+    M = np.array([json.loads(G.label(int(i)).lstrip("±")) for i in idx]).reshape(-1, 4)
+    assert np.all((M >= 0) & (M < p))
+    assert np.all((M[:, 0] * M[:, 3] - M[:, 1] * M[:, 2]) % p == 1)
+    if desc.startswith("psl2"):
+        first = np.where(M[:, 0] > 0, M[:, 0], M[:, 1])
+        assert np.all(first <= (p - 1) // 2)
+    codes = ((M[:, 0] * p + M[:, 1]) * p + M[:, 2]) * p + M[:, 3]
+    assert np.all(np.diff(codes) > 0)
 
 
 def test_dihedral_relations():
