@@ -85,7 +85,8 @@ def inner(space, f1, f2):
     return complex(math.fsum(t.real), math.fsum(t.imag))
 
 
-KINDS = ("left", "right", "conjugation", "custom")
+BUILT_IN = ("left", "right", "conjugation")
+KINDS = BUILT_IN + ("custom",)
 
 
 class ActionTable:
@@ -148,10 +149,24 @@ class ActionTable:
     def act(self, g, x):
         return int(self.act_row(g)[x])
 
+    def inv_row(self, g):
+        """x -> g^-1 . x, the row behind the Koopman operator: read from
+        inv_rows_matrix where G has a dense table, else one act_row."""
+        G = self.group
+        if G.table is None:
+            return self.act_row(int(G.inv[g]))
+        if self._inv_rows is None:
+            self.inv_rows_matrix()
+        return self._inv_rows[g]
+
     def inv_rows_matrix(self):
         """Matrix M with M[g, x] = g^-1 . x, cached; drives exact g-averages."""
         if self._inv_rows is None:
             G = self.group
+            if self._rows is None and G.table is None:
+                raise ValueError("the %s action of %s (|G| = %d) has no row matrix: it needs a "
+                                 "dense table, and would take %d bytes"
+                                 % (self.kind, G.desc, G.order, 4 * G.order * G.order))
             M = np.empty((G.order, self.space.size), dtype=np.int32)
             for g in range(G.order):
                 M[g] = self.act_row(int(G.inv[g]))
@@ -182,18 +197,23 @@ class ActionTable:
 
 def build_action(G, kind):
     """The left/right translation or conjugation action of G on itself."""
-    if kind not in ("left", "right", "conjugation"):
+    if kind not in BUILT_IN:
         raise ValueError("built-in kinds are left, right, conjugation")
     return ActionTable(G, ProbabilitySpace.uniform(G.order), kind)
 
 
 def cached_action(G, kind):
-    """Per-group memo of the built-in actions (shares the row matrices)."""
+    """Per-group memo of the built-in actions: they share one uniform space,
+    and each keeps its row matrix once built."""
     cache = getattr(G, "_action_cache", None)
     if cache is None:
         cache = G._action_cache = {}
     if kind not in cache:
-        cache[kind] = build_action(G, kind)
+        shared = next(iter(cache.values()), None)
+        if shared is None or kind not in BUILT_IN:
+            cache[kind] = build_action(G, kind)     # raises on any other kind
+        else:
+            cache[kind] = ActionTable(G, shared.space, kind)
     return cache[kind]
 
 
@@ -207,7 +227,7 @@ def koopman_apply(a, g, f):
     """(g . f)(x) = f(g^-1 . x); unitary on L2(X, nu)."""
     if f.space.size != a.space.size:
         raise SpaceMismatchError("observable not on the action's space")
-    return Observable(f.space, f.values[a.act_row(int(a.group.inv[g]))])
+    return Observable(f.space, f.values[a.inv_row(g)])
 
 
 def invariant_projection(a, f):

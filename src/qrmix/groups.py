@@ -67,11 +67,11 @@ class _Backend:
 
     def mul_vec(self, i, js):
         """i * js, elementwise over the array js."""
-        raise NotImplementedError
+        return self.mul_pairs(np.full(np.shape(js), i, dtype=_INDEX_DTYPE), js)
 
     def vec_mul(self, is_, j):
         """is_ * j, elementwise over the array is_."""
-        raise NotImplementedError
+        return self.mul_pairs(is_, np.full(np.shape(is_), j, dtype=_INDEX_DTYPE))
 
     def mul_pairs(self, is_, js):
         """is_ * js elementwise (equal-length arrays)."""
@@ -91,12 +91,6 @@ class _Cyclic(_Backend):
     def __init__(self, n):
         self.n = n
         self.identity = 0
-
-    def mul_vec(self, i, js):
-        return (i + np.asarray(js, dtype=_INDEX_DTYPE)) % self.n
-
-    def vec_mul(self, is_, j):
-        return (np.asarray(is_, dtype=_INDEX_DTYPE) + j) % self.n
 
     def mul_pairs(self, is_, js):
         return (np.asarray(is_, dtype=_INDEX_DTYPE) + np.asarray(js)) % self.n
@@ -131,12 +125,6 @@ class _Dihedral(_Backend):
         b, m = self._split(js)
         sign = 1 - 2 * b
         return self._join((a + b) % 2, (m + k * sign) % self.rot)
-
-    def mul_vec(self, i, js):
-        return self.mul_pairs(np.full(np.shape(js), i, dtype=_INDEX_DTYPE), js)
-
-    def vec_mul(self, is_, j):
-        return self.mul_pairs(is_, np.full(np.shape(is_), j, dtype=_INDEX_DTYPE))
 
     def inv_all(self):
         idx = np.arange(self.n, dtype=_INDEX_DTYPE)
@@ -339,12 +327,6 @@ class _Explicit(_Backend):
                 return e
         return 0
 
-    def mul_vec(self, i, js):
-        return self.table[i, np.asarray(js)]
-
-    def vec_mul(self, is_, j):
-        return self.table[np.asarray(is_), j]
-
     def mul_pairs(self, is_, js):
         return self.table[np.asarray(is_), np.asarray(js)]
 
@@ -529,41 +511,31 @@ def conjugacy_classes(G):
     n = G.order
     class_of = np.full(n, -1, dtype=_INDEX_DTYPE)
     members_per_class = []
-    if G.table is not None:
-        inv = G.inv
-        for seed in range(n):
-            if class_of[seed] >= 0:
-                continue
-            # h * seed * h^-1 over all h in one vectorized pass
-            orbit = np.unique(G.mul_pairs(G.table[:, seed], inv))
-            class_of[orbit] = len(members_per_class)
-            members_per_class.append(orbit)
-    else:
-        # conjugation by each generator, as a permutation of the elements
-        xs = np.arange(n, dtype=_INDEX_DTYPE)
-        conj = [G.vec_mul(G.mul_vec(g, xs), int(G.inv[g])) for g in G.generators()]
-        seen = np.zeros(n, dtype=bool)
-        for seed in range(n):
-            if seen[seed]:
-                continue
-            frontier = np.array([seed], dtype=_INDEX_DTYPE)
-            seen[seed] = True
-            orbit = [frontier]
-            while len(frontier):
-                new = []
-                for perm in conj:
-                    u = perm[frontier]
-                    fresh = u[~seen[u]]
-                    if len(fresh):
-                        fresh = np.unique(fresh)
-                        seen[fresh] = True
-                        new.append(fresh)
-                frontier = np.concatenate(new) if new else np.array([], dtype=_INDEX_DTYPE)
-                if len(frontier):
-                    orbit.append(frontier)
-            orbit = np.sort(np.concatenate(orbit))
-            class_of[orbit] = len(members_per_class)
-            members_per_class.append(orbit)
+    # conjugation by each generator, as a permutation of the elements
+    xs = np.arange(n, dtype=_INDEX_DTYPE)
+    conj = [G.vec_mul(G.mul_vec(g, xs), int(G.inv[g])) for g in G.generators()]
+    seen = np.zeros(n, dtype=bool)
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        frontier = np.array([seed], dtype=_INDEX_DTYPE)
+        seen[seed] = True
+        orbit = [frontier]
+        while len(frontier):
+            new = []
+            for perm in conj:
+                u = perm[frontier]
+                fresh = u[~seen[u]]
+                if len(fresh):
+                    fresh = np.unique(fresh)
+                    seen[fresh] = True
+                    new.append(fresh)
+            frontier = np.concatenate(new) if new else np.array([], dtype=_INDEX_DTYPE)
+            if len(frontier):
+                orbit.append(frontier)
+        orbit = np.sort(np.concatenate(orbit))
+        class_of[orbit] = len(members_per_class)
+        members_per_class.append(orbit)
     order = sorted(range(len(members_per_class)),
                    key=lambda c: (len(members_per_class[c]), int(members_per_class[c][0])))
     remap = np.empty(len(order), dtype=_INDEX_DTYPE)

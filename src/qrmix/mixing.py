@@ -45,10 +45,9 @@ def _pair_correlations(a, f1, f2, gs=None):
     if gs is None:
         M = a.inv_rows_matrix()
         return c2[M] @ w
-    G = a.group
     out = np.empty(len(gs), dtype=np.complex128)
     for t, g in enumerate(gs):
-        row = a.act_row(int(G.inv[int(g)]))
+        row = a.inv_row(int(g))
         out[t] = c2[row] @ w
     return out
 

@@ -104,19 +104,22 @@ def _check_space(G, f, name):
         raise SpaceMismatchError("%s must live on X = G (size %d)" % (name, G.order))
 
 
-def _g_rows(G, g):
-    """(x -> g^-1 x, x -> g^-1 x g) for one g."""
-    xs = np.arange(G.order, dtype=np.int64)
-    ginv = int(G.inv[g])
-    lrow = G.mul_vec(ginv, xs)
-    return lrow, G.vec_mul(lrow, int(g))
+def _triple_rows(G):
+    """g -> (x -> g^-1 x, x -> g^-1 x g): the left action's row, and the
+    right action's row composed with it."""
+    left, right = cached_action(G, "left"), cached_action(G, "right")
+
+    def rows(g):
+        lrow = left.inv_row(g)
+        return lrow, right.inv_row(g)[lrow]
+    return rows
 
 
 def triple_product_average(G, f1, f2, f3, g):
     """avg_x f1(x) f2(g^-1 x) f3(g^-1 x g)."""
     for f, name in ((f1, "f1"), (f2, "f2"), (f3, "f3")):
         _check_space(G, f, name)
-    lrow, crow = _g_rows(G, g)
+    lrow, crow = _triple_rows(G)(g)
     w = f1.space.weights
     return complex(np.sum(f1.values * f2.values[lrow] * f3.values[crow] * w))
 
@@ -127,31 +130,21 @@ def _triple_errors(G, f1, f2, f3, gs):
     Shares the translation rows between the three integrands; case i
     replaces f3 by P_c f3, case ii by f3 - P_c f3.
     """
-    conj_act = cached_action(G, "conjugation")
-    left_act = cached_action(G, "left")
-    pl2 = invariant_projection(left_act, f2)
-    pc3 = invariant_projection(conj_act, f3)
+    pl2 = invariant_projection(cached_action(G, "left"), f2)
+    pc3 = invariant_projection(cached_action(G, "conjugation"), f3)
     w = f1.space.weights
     v1, v2, v3 = f1.values, f2.values, f3.values
     v3i = pc3.values
     v3ii = v3 - v3i
     ref_tot = complex(np.sum(v1 * pl2.values * v3i * w))
-    n = G.order
-    use_matrix = gs is None and G.table is not None
     if gs is None:
-        gs = range(n)
-    if use_matrix:
-        Lm = left_act.inv_rows_matrix()
-        Cm = conj_act.inv_rows_matrix()
+        gs = range(G.order)
+    rows = _triple_rows(G)
     tot = np.empty(len(gs))
     case_i = np.empty(len(gs))
     case_ii = np.empty(len(gs))
     for t, g in enumerate(gs):
-        g = int(g)
-        if use_matrix:
-            lrow, crow = Lm[g], Cm[g]
-        else:
-            lrow, crow = _g_rows(G, g)
+        lrow, crow = rows(int(g))
         base = v1 * v2[lrow] * w
         tot[t] = abs(complex(np.sum(base * v3[crow])) - ref_tot)
         case_i[t] = abs(complex(np.sum(base * v3i[crow])) - ref_tot)
@@ -175,6 +168,8 @@ def _triple_gs(G, f1, f2, f3, mode, samples, seed):
         raise ValueError("mode must be exact or monte_carlo")
     if samples is None or seed is None:
         raise ValueError("monte_carlo mode needs samples and seed")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     return np.random.default_rng(seed).integers(0, G.order, samples)
 
 
@@ -234,8 +229,9 @@ def correlation_family(G, f2, f3):
             "of %d bytes; only groups of order <= %d are supported"
             % (G.desc, n, n * n * 16, DENSE_LIMIT))
     E = np.empty((n, n), dtype=np.complex128)
+    rows = _triple_rows(G)
     for g in range(n):
-        lrow, crow = _g_rows(G, g)
+        lrow, crow = rows(g)
         E[g] = f2.values[lrow] * f3.values[crow]
     return VectorFamily(group=G, space=f2.space, vectors=E,
                         l2_bound=f2.norm_inf * f3.norm_inf)
@@ -251,16 +247,16 @@ def gram_identity_check(G, f2, f3, g, h):
     _check_space(G, f2, "f2")
     _check_space(G, f3, "f3")
     w = f2.space.weights
-    gh = G.mul(g, h)
-    lg, cg = _g_rows(G, g)
-    lgh, cgh = _g_rows(G, gh)
+    rows = _triple_rows(G)
+    lg, cg = rows(g)
+    lgh, cgh = rows(G.mul(g, h))
     e_g = f2.values[lg] * f3.values[cg]
     e_gh = f2.values[lgh] * f3.values[cgh]
     lhs = complex(np.sum(e_g * e_gh * w))
-    lh, ch = _g_rows(G, h)
+    lh, ch = rows(h)
     F2h = f2.values * f2.values[lh]
     F3h = f3.values * f3.values[ch]
-    xg = G.vec_mul(np.arange(G.order, dtype=np.int64), int(g))  # (g .r F)(x) = F(xg)
+    xg = cached_action(G, "right").inv_row(g)  # (g .r F)(x) = F(xg)
     rhs = complex(np.sum(F2h * F3h[xg] * w))
     return GramCheck(lhs=lhs, rhs=rhs, discrepancy=abs(lhs - rhs))
 
@@ -289,6 +285,8 @@ def vdc_check(family, f, samples=None, seed=None):
     else:
         if samples is None or seed is None:
             raise ValueError("groups above order %d need samples and seed" % VDC_EXACT_MAX)
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         rng = np.random.default_rng(seed)
         gs = rng.integers(0, n, samples)
         hs = rng.integers(0, n, samples)

@@ -75,14 +75,21 @@ class ExperimentConfig:
         self.groups = [canonical_descriptor(g) for g in self.groups]  # raises on bad ones
         if len(set(self.groups)) < len(self.groups):
             raise ConfigError("groups name one group twice: %s" % ", ".join(self.groups))
-        for g in self.groups if "vdc" in self.experiments else []:
+        vdc = "vdc" in self.experiments
+        exact_mixing = "mixing" in self.experiments and self.exact_max_order > DENSE_LIMIT
+        for g in self.groups if vdc or exact_mixing else []:
             try:
                 order = group_order(g)
             except GroupConstructionError:
                 continue    # run_sweep reports it as the group's error
-            if order > DENSE_LIMIT:     # the correlation family is |G| x |G|
+            # the correlation family and exact mixing's rows are |G| x |G|
+            if vdc and order > DENSE_LIMIT:
                 raise ConfigError("experiments: vdc needs |G| <= %d, and %s has order %d"
                                   % (DENSE_LIMIT, g, order))
+            if exact_mixing and DENSE_LIMIT < order <= self.exact_max_order:
+                raise ConfigError("exact_max_order %d asks for exact mixing on %s (|G| = %d), "
+                                  "which needs |G| <= %d" % (self.exact_max_order, g, order,
+                                                             DENSE_LIMIT))
 
     @classmethod
     def from_dict(cls, data):

@@ -113,6 +113,39 @@ def test_conjugation_fixes_class_functions():
 
 
 # ---------------------------------------------------------------------------
+# Koopman rows: one source, the cached matrix (dense table) or the kernel (none)
+
+
+@pytest.mark.parametrize("desc", ["sl2:5", "sl2:17"])      # |G| = 120 and 4896
+@pytest.mark.parametrize("kind", ["left", "right", "conjugation"])
+def test_inv_row_is_inverse_act_row(desc, kind):
+    G = build_group(desc)
+    a = cached_action(G, kind)
+    for g in np.random.default_rng(15).integers(0, G.order, 6):
+        assert np.array_equal(a.inv_row(g), a.act_row(int(G.inv[g])))
+
+
+@pytest.mark.parametrize("desc", ["sl2:5", "sl2:17"])
+def test_right_row_after_left_row_is_conjugation_row(desc):
+    G = build_group(desc)
+    left, right, conj = (cached_action(G, k) for k in ("left", "right", "conjugation"))
+    assert left.space is right.space is conj.space
+    for g in np.random.default_rng(16).integers(0, G.order, 6):
+        crow = conj.inv_row(g)
+        assert np.array_equal(right.inv_row(g)[left.inv_row(g)], crow)
+        for x in (0, 1, G.order - 1):       # g^-1 x g
+            assert crow[x] == G.mul(G.mul(int(G.inv[g]), x), int(g))
+
+
+def test_inv_row_of_custom_action():
+    G = build_group("symmetric:3")
+    a = ActionTable(G, ProbabilitySpace.uniform(3), "custom", rows=G.backend.perms)
+    for g in range(G.order):
+        assert np.array_equal(a.inv_row(g), a.act_row(int(G.inv[g])))
+        assert np.array_equal(a.inv_row(g)[a.act_row(g)], np.arange(3))
+
+
+# ---------------------------------------------------------------------------
 # invariant projection
 
 

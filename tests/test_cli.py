@@ -181,6 +181,7 @@ def test_config_invariants():
     {"trials": "3"}, {"trials": 1.5}, {"trials": True}, {"groups": "cyclic:5"},
     {"groups": []}, {"experiments": []}, {"actions": []}, {"mc_samples": 5},
     {"master_seed": -1}, {"groups": ["sl2:05", "sl2:5"]},
+    {"exact_max_order": 6000, "groups": ["symmetric:7"]},
 ], ids=lambda o: json.dumps(o))
 def test_sweep_rejects_invalid_config(tmp_path, capsys, overrides):
     code, out, err = run_cli(capsys, "sweep", "--config", _config(tmp_path, **overrides))
@@ -291,7 +292,15 @@ def test_plotdata_missing_file_exits_2(tmp_path, capsys):
      {"recurrence.csv": "recurrence_sl2_37.csv"}),
     (("mixing", "-g", "psl2:67", "--action", "conjugation", "--trials", "1", "--mc", "30",
       "--seed", "7"), {"mixing.csv": "mixing_psl2_67_conjugation.csv"}),
-], ids=["verify-quick-seed0", "recurrence-sl2:37", "mixing-psl2:67-conjugation"])
+    # outputs of commit e4de328, before the Koopman rows moved to ActionTable.inv_row
+    (("vdc", "-g", "symmetric:4", "--trials", "10", "--seed", "7"),
+     {"vdc.csv": "vdc_symmetric_4.csv"}),
+    (("vdc", "-g", "sl2:11", "--trials", "2", "--mc", "100", "--seed", "1"),
+     {"vdc.csv": "vdc_sl2_11.csv"}),
+    (("recurrence", "-g", "sl2:13", "--trials", "2", "--seed", "3"),
+     {"recurrence.csv": "recurrence_sl2_13.csv"}),
+], ids=["verify-quick-seed0", "recurrence-sl2:37", "mixing-psl2:67-conjugation",
+        "vdc-symmetric:4", "vdc-sl2:11", "recurrence-sl2:13"])
 def test_outputs_match_golden_files(tmp_path, argv, files):
     here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",

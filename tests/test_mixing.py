@@ -145,6 +145,14 @@ def test_monte_carlo_consistent_with_exact():
     assert hits >= 19
 
 
+def test_exact_mixing_refused_without_dense_table():
+    G = build_group("sl2:17")          # |G| = 4896, above the dense limit
+    a = cached_action(G, "left")
+    f1, f2 = _pair(a.space, 60)
+    with pytest.raises(ValueError, match=r"\|G\| = 4896.* 95883264 bytes"):
+        mixing_error(a, f1, f2)
+
+
 # ---------------------------------------------------------------------------
 # reduction identity
 

@@ -286,6 +286,20 @@ def test_vdc_sampled_mode_deterministic():
     assert a.epsilon_lhs == b.epsilon_lhs and a.mode == "exact"
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("check", ["recurrence", "decomposition", "vdc"])
+def test_sample_count_below_one_rejected(check, samples):
+    G = build_group("sl2:11" if check == "vdc" else "sl2:5")   # 1320 > VDC_EXACT_MAX
+    space = ProbabilitySpace.uniform(G.order)
+    fs = [random_observable(space, s) for s in (98, 99, 100)]
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        if check == "vdc":
+            vdc_check(correlation_family(G, fs[0], fs[1]), fs[2], samples=samples, seed=1)
+        else:
+            run = triple_recurrence_error if check == "recurrence" else case_decomposition
+            run(G, *fs, mode="monte_carlo", samples=samples, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Bessel
 
