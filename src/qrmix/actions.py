@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from .groups import conjugacy_classes
+from .groups import conjugacy_classes, into
 
 _WEIGHT_TOL = 1e-12
+ROW_BLOCK = 1 << 16   # elements per block of inv_rows and gather_blocks
 
 
 class SpaceMismatchError(ValueError):
@@ -134,30 +135,39 @@ class ActionTable:
         if np.any(lhs != rhs):
             raise ActionValidationError("action is not associative with the group law")
 
-    def act_row(self, g):
-        """x -> g . x over all points of X."""
+    def act_row(self, g, out=None):
+        """x -> g . x over all points of X, written into out when given."""
         if self._rows is not None:
-            return self._rows[g]
+            return into(out, self._rows[g])
         G = self.group
-        xs = np.arange(G.order, dtype=np.int64)
         if self.kind == "left":
-            return G.mul_vec(g, xs)
+            return G.mul_vec(g, out=out)
         if self.kind == "right":
-            return G.vec_mul(xs, int(G.inv[g]))
-        return G.vec_mul(G.mul_vec(g, xs), int(G.inv[g]))
+            return G.vec_mul(None, int(G.inv[g]), out=out)
+        return into(out, G.vec_mul(G.mul_vec(g), int(G.inv[g])))
 
     def act(self, g, x):
         return int(self.act_row(g)[x])
 
-    def inv_row(self, g):
+    def inv_row(self, g, out=None):
         """x -> g^-1 . x, the row behind the Koopman operator: read from
-        inv_rows_matrix where G has a dense table, else one act_row."""
+        inv_rows_matrix where G has a dense table, else one act_row.
+        Written into out when given."""
         G = self.group
         if G.table is None:
-            return self.act_row(int(G.inv[g]))
-        if self._inv_rows is None:
-            self.inv_rows_matrix()
-        return self._inv_rows[g]
+            return self.act_row(int(G.inv[g]), out)
+        return into(out, self.inv_rows_matrix()[g])
+
+    def inv_rows(self, gs):
+        """inv_row(g) for g in gs, in blocks of B = max(1, ROW_BLOCK // |X|) rows (the
+        last may be shorter), each a view of one buffer that the next overwrites."""
+        B = max(1, ROW_BLOCK // self.space.size)
+        buf = np.empty((min(B, len(gs)), self.space.size), dtype=np.intp)
+        for s in range(0, len(gs), B):
+            block = buf[:min(B, len(gs) - s)]
+            for row, g in zip(block, gs[s:s + B]):
+                self.inv_row(int(g), out=row)
+            yield block
 
     def inv_rows_matrix(self):
         """Matrix M with M[g, x] = g^-1 . x, cached; drives exact g-averages."""
@@ -169,7 +179,8 @@ class ActionTable:
                                  % (self.kind, G.desc, G.order, 4 * G.order * G.order))
             M = np.empty((G.order, self.space.size), dtype=np.int32)
             for g in range(G.order):
-                M[g] = self.act_row(int(G.inv[g]))
+                self.act_row(int(G.inv[g]), out=M[g])
+            M.flags.writeable = False
             self._inv_rows = M
         return self._inv_rows
 
@@ -193,6 +204,18 @@ class ActionTable:
                 next_id += 1
         self._orbit_of = out
         return out
+
+
+def gather_blocks(blocks, *values):
+    """For each index block, the tuple of values[k][block], each gathered into
+    one buffer per value array that the next block overwrites."""
+    bufs = None
+    for block in blocks:
+        if bufs is None:
+            bufs = [np.empty(block.shape, dtype=v.dtype) for v in values]
+        # mode="clip": the default "raise" copies out first; indices are in range
+        yield tuple(np.take(v, block, out=buf[:len(block)], mode="clip")
+                    for v, buf in zip(values, bufs))
 
 
 def build_action(G, kind):

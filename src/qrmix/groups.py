@@ -52,6 +52,13 @@ def _lookup(sorted_codes, queries):
     return np.searchsorted(sorted_codes, queries)
 
 
+def into(out, row):
+    """row, copied into out when out is given and is not row already."""
+    if out is not None and row is not out:
+        out[...] = row
+    return row if out is None else out
+
+
 # ---------------------------------------------------------------------------
 # backends
 
@@ -60,18 +67,24 @@ class _Backend:
     """Multiplication kernel on element indices.
 
     Subclasses set ``n`` and ``identity`` and implement the vectorized maps.
+    An index array None means every element; a backend may write into out.
     """
 
     n = 0
     identity = 0
 
-    def mul_vec(self, i, js):
-        """i * js, elementwise over the array js."""
-        return self.mul_pairs(np.full(np.shape(js), i, dtype=_INDEX_DTYPE), js)
+    def _all(self, idx):
+        return np.arange(self.n, dtype=_INDEX_DTYPE) if idx is None else np.asarray(idx)
 
-    def vec_mul(self, is_, j):
+    def mul_vec(self, i, js, out=None):
+        """i * js, elementwise over the array js."""
+        js = self._all(js)
+        return self.mul_pairs(np.full(js.shape, i, dtype=_INDEX_DTYPE), js)
+
+    def vec_mul(self, is_, j, out=None):
         """is_ * j, elementwise over the array is_."""
-        return self.mul_pairs(is_, np.full(np.shape(is_), j, dtype=_INDEX_DTYPE))
+        is_ = self._all(is_)
+        return self.mul_pairs(is_, np.full(is_.shape, j, dtype=_INDEX_DTYPE))
 
     def mul_pairs(self, is_, js):
         """is_ * js elementwise (equal-length arrays)."""
@@ -167,12 +180,12 @@ class _Perm(_Backend):
     def _index_of(self, perms):
         return _lookup(self.codes, self._code(perms))
 
-    def mul_vec(self, i, js):
+    def mul_vec(self, i, js, out=None):
         # (p_i o p_j)(x) = p_i[p_j[x]]
-        return self._index_of(self.perms[i][self.perms[np.asarray(js)]])
+        return self._index_of(self.perms[i][self.perms[self._all(js)]])
 
-    def vec_mul(self, is_, j):
-        return self._index_of(self.perms[np.asarray(is_)][:, self.perms[j]])
+    def vec_mul(self, is_, j, out=None):
+        return self._index_of(self.perms[self._all(is_)][:, self.perms[j]])
 
     def mul_pairs(self, is_, js):
         pi = self.perms[np.asarray(is_)]
@@ -231,6 +244,7 @@ class _Mat2(_Backend):
         self._CA = np.where(u == 0, 0, p * (rank - sv) + sv)   # columns (a, c), (b, d)
         self._CB = np.stack([p * u, p * (-u % p), p * (su - 1) + sv, p * (su - 1) + sv])
         self.identity = int(self._index(1, 0, 0, 1))
+        self._work = np.empty(self.n, dtype=_INDEX_DTYPE)     # full-row scratch of _pair_mul
 
     def _index(self, a, b, c, d):
         """Indices of the matrices [[a, b], [c, d]], entries reduced mod p."""
@@ -240,22 +254,30 @@ class _Mat2(_Backend):
     def _entries(self, idx):
         return divmod(self._rows[0][idx], self.p) + divmod(self._rows[1][idx], self.p)
 
-    def _pair_mul(self, x, y, z, w, pairs, A, B, idx):
+    def _pair_mul(self, x, y, z, w, pairs, A, B, idx, out):
         """Indices of the elements idx with both pairs mapped by [[x, y], [z, w]]:
-        tables A, B composed with the map, then three gathers per element."""
+        tables A, B composed with the map, then three gathers per element.
+        For every element (idx None) the pair tables are read as they are, and
+        with out given nothing is allocated but a few p^2-entry tables."""
         p = self.p
         u, v = self._uv
         M = (x * u + y * v) % p * p + (z * u + w * v) % p
-        P, Q = (t[np.asarray(idx)] for t in pairs)
-        return A[M][P] + B.take(M, axis=1).ravel()[self._Z[M][P] + Q]
+        A, B, Z = A[M], B.take(M, axis=1).ravel(), self._Z[M]
+        P, Q = pairs if idx is None else (t[np.asarray(idx)] for t in pairs)
+        work = self._work if idx is None else np.empty(P.shape, dtype=_INDEX_DTYPE)
+        out = np.empty(P.shape, dtype=_INDEX_DTYPE) if out is None else out
+        # mode="clip": the default "raise" copies out first; indices are in range
+        np.add(Z.take(P, out=work, mode="clip"), Q, out=work)
+        B.take(work, out=out, mode="clip")
+        return np.add(out, A.take(P, out=work, mode="clip"), out=out)
 
-    def mul_vec(self, i, js):
+    def mul_vec(self, i, js, out=None):
         a, b, c, d = (int(t) for t in self._entries(i))
-        return self._pair_mul(a, b, c, d, self._cols, self._CA, self._CB, js)  # g x: columns by g
+        return self._pair_mul(a, b, c, d, self._cols, self._CA, self._CB, js, out)  # g x: columns by g
 
-    def vec_mul(self, is_, j):
+    def vec_mul(self, is_, j, out=None):
         a, b, c, d = (int(t) for t in self._entries(j))
-        return self._pair_mul(a, c, b, d, self._rows, self._RA, self._RB, is_)  # x g: rows by g^T
+        return self._pair_mul(a, c, b, d, self._rows, self._RA, self._RB, is_, out)  # x g: rows by g^T
 
     def mul_pairs(self, is_, js):
         (a, b, c, d), (x, y, z, w), p = self._entries(is_), self._entries(js), self.p
@@ -290,14 +312,14 @@ class _Product(_Backend):
         ja, jb = self._split(js)
         return self.A.mul_pairs(ia, ja) * self.B.n + self.B.mul_pairs(ib, jb)
 
-    def mul_vec(self, i, js):
+    def mul_vec(self, i, js, out=None):
         ia, ib = i // self.B.n, i % self.B.n
-        ja, jb = self._split(js)
+        ja, jb = self._split(self._all(js))
         return self.A.mul_vec(ia, ja) * self.B.n + self.B.mul_vec(ib, jb)
 
-    def vec_mul(self, is_, j):
+    def vec_mul(self, is_, j, out=None):
         ja, jb = j // self.B.n, j % self.B.n
-        ia, ib = self._split(is_)
+        ia, ib = self._split(self._all(is_))
         return self.A.vec_mul(ia, ja) * self.B.n + self.B.vec_mul(ib, jb)
 
     def inv_all(self):
@@ -337,7 +359,17 @@ class _Explicit(_Backend):
         return inv
 
     def generators(self):
-        return list(range(self.n))
+        """The smallest element outside the subgroup generated so far, until
+        that subgroup is the whole group."""
+        gens, inside = [], np.arange(self.n) == self.identity
+        while not inside.all():
+            gens.append(int(np.argmin(inside)))
+            new = np.nonzero(inside)[0]
+            while len(new):        # close under right multiplication by gens
+                new = np.unique(self.table[new[:, None], gens])
+                new = new[~inside[new]]
+                inside[new] = True
+        return gens
 
     def label(self, i):
         return str(i)
@@ -362,10 +394,10 @@ class GroupTable:
         self.inv = backend.inv_all()
         self.table = None
         if self.order <= DENSE_LIMIT:
-            xs = np.arange(self.order, dtype=_INDEX_DTYPE)
             self.table = np.empty((self.order, self.order), dtype=np.int32)
             for g in range(self.order):
-                self.table[g] = backend.mul_vec(g, xs)
+                self.table[g] = backend.mul_vec(g, None)
+            self.table.flags.writeable = False
         # downstream caches (conjugacy data, degrees) live on the instance
         self._conjugacy = None
         self._degrees = None
@@ -383,15 +415,17 @@ class GroupTable:
             return int(self.table[i, j])
         return int(self.backend.mul_pairs(np.array([i]), np.array([j]))[0])
 
-    def mul_vec(self, i, js):
+    def mul_vec(self, i, js=None, out=None):
+        """i * js elementwise, js None meaning every element; into out when given."""
         if self.table is not None:
-            return self.table[i, np.asarray(js)]
-        return self.backend.mul_vec(i, js)
+            return into(out, self.table[i] if js is None else self.table[i, np.asarray(js)])
+        return into(out, self.backend.mul_vec(i, js, out))
 
-    def vec_mul(self, is_, j):
+    def vec_mul(self, is_, j, out=None):
+        """is_ * j elementwise, is_ None meaning every element; into out when given."""
         if self.table is not None:
-            return self.table[np.asarray(is_), j]
-        return self.backend.vec_mul(is_, j)
+            return into(out, self.table[:, j] if is_ is None else self.table[np.asarray(is_), j])
+        return into(out, self.backend.vec_mul(is_, j, out))
 
     def mul_pairs(self, is_, js):
         if self.table is not None:
@@ -512,8 +546,7 @@ def conjugacy_classes(G):
     class_of = np.full(n, -1, dtype=_INDEX_DTYPE)
     members_per_class = []
     # conjugation by each generator, as a permutation of the elements
-    xs = np.arange(n, dtype=_INDEX_DTYPE)
-    conj = [G.vec_mul(G.mul_vec(g, xs), int(G.inv[g])) for g in G.generators()]
+    conj = [G.vec_mul(G.mul_vec(g), int(G.inv[g])) for g in G.generators()]
     seen = np.zeros(n, dtype=bool)
     for seed in range(n):
         if seen[seed]:

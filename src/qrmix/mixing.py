@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import SpaceMismatchError, cached_action, inner, invariant_projection, random_observable
+from .actions import (SpaceMismatchError, cached_action, gather_blocks, inner, invariant_projection,
+                      random_observable)
 from .characters import quasirandom_degree
 from .seeding import derive_seed
 
@@ -39,17 +40,19 @@ class MixingReport:
 
 
 def _pair_correlations(a, f1, f2, gs=None):
-    """<f1, g . f2> for each g (all g when gs is None)."""
-    w = f1.values * a.space.weights
+    """<f1, g . f2> for each g (all g when gs is None).  Sampled conjugation
+    puts y = g^-1 x: sum_y u(gy) conj f2(yg) with u = f1 nu, from the rows
+    y -> gy (left at g^-1) and y -> yg (right at g)."""
+    u = f1.values * a.space.weights
     c2 = np.conj(f2.values)
     if gs is None:
-        M = a.inv_rows_matrix()
-        return c2[M] @ w
-    out = np.empty(len(gs), dtype=np.complex128)
-    for t, g in enumerate(gs):
-        row = a.inv_row(int(g))
-        out[t] = c2[row] @ w
-    return out
+        return c2[a.inv_rows_matrix()] @ u
+    G = a.group
+    if a.kind == "conjugation":
+        blocks = zip(gather_blocks(cached_action(G, "left").inv_rows(G.inv[gs]), u),
+                     gather_blocks(cached_action(G, "right").inv_rows(gs), c2))
+        return np.concatenate([np.einsum("ij,ij->i", U, C) for (U,), (C,) in blocks])
+    return np.concatenate([np.einsum("ij,j->i", C, u) for (C,) in gather_blocks(a.inv_rows(gs), c2)])
 
 
 def mixing_error(a, f1, f2):
@@ -110,7 +113,7 @@ def reduction_identity_check(a, f1, f2, g):
     M = a.inv_rows_matrix()           # M[h, x] = h^-1 . x
     F1 = f1.values[M]                 # column x is the fiber f1^(x) on G
     F2 = f2.values[M]
-    sigma = G.vec_mul(np.arange(G.order, dtype=np.int64), int(g))  # h -> hg
+    sigma = G.vec_mul(None, int(g))   # h -> hg
     T = F1 * np.conj(F2[sigma]) * a.space.weights[None, :]
     rhs = complex(T.sum()) / G.order
     return lhs, rhs, abs(lhs - rhs)

@@ -17,6 +17,7 @@ from .actions import (
     Observable,
     SpaceMismatchError,
     cached_action,
+    gather_blocks,
     inner,
     invariant_projection,
 )
@@ -104,53 +105,43 @@ def _check_space(G, f, name):
         raise SpaceMismatchError("%s must live on X = G (size %d)" % (name, G.order))
 
 
-def _triple_rows(G):
-    """g -> (x -> g^-1 x, x -> g^-1 x g): the left action's row, and the
-    right action's row composed with it."""
-    left, right = cached_action(G, "left"), cached_action(G, "right")
-
-    def rows(g):
-        lrow = left.inv_row(g)
-        return lrow, right.inv_row(g)[lrow]
-    return rows
+def _triple_rows(G, g):
+    """x -> g^-1 x and x -> g^-1 x g: the left and conjugation actions' rows."""
+    return cached_action(G, "left").inv_row(g), cached_action(G, "conjugation").inv_row(g)
 
 
 def triple_product_average(G, f1, f2, f3, g):
     """avg_x f1(x) f2(g^-1 x) f3(g^-1 x g)."""
     for f, name in ((f1, "f1"), (f2, "f2"), (f3, "f3")):
         _check_space(G, f, name)
-    lrow, crow = _triple_rows(G)(g)
+    lrow, crow = _triple_rows(G, g)
     w = f1.space.weights
     return complex(np.sum(f1.values * f2.values[lrow] * f3.values[crow] * w))
 
 
 def _triple_errors(G, f1, f2, f3, gs):
-    """Per-g total/case-i/case-ii deviations, averaged over gs.
+    """Per-g total/case-i/case-ii deviations, averaged over gs (None: every g).
 
-    Shares the translation rows between the three integrands; case i
-    replaces f3 by P_c f3, case ii by f3 - P_c f3.
+    With y = g^-1 x the triple average is avg_y f1(gy) f2(y) f3(yg), from the
+    rows y -> gy (left at g^-1) and y -> yg (right at g).  Case i puts P_c f3
+    for f3; P_c f3 is constant on classes and gy = g (yg) g^-1, so it reads
+    avg_y h(gy) f2(y) with h = f1 P_c f3.  Case ii, with f3 - P_c f3, is the
+    total less case i.
     """
     pl2 = invariant_projection(cached_action(G, "left"), f2)
     pc3 = invariant_projection(cached_action(G, "conjugation"), f3)
     w = f1.space.weights
-    v1, v2, v3 = f1.values, f2.values, f3.values
-    v3i = pc3.values
-    v3ii = v3 - v3i
-    ref_tot = complex(np.sum(v1 * pl2.values * v3i * w))
-    if gs is None:
-        gs = range(G.order)
-    rows = _triple_rows(G)
-    tot = np.empty(len(gs))
-    case_i = np.empty(len(gs))
-    case_ii = np.empty(len(gs))
-    for t, g in enumerate(gs):
-        lrow, crow = rows(int(g))
-        base = v1 * v2[lrow] * w
-        tot[t] = abs(complex(np.sum(base * v3[crow])) - ref_tot)
-        case_i[t] = abs(complex(np.sum(base * v3i[crow])) - ref_tot)
-        case_ii[t] = abs(complex(np.sum(base * v3ii[crow])))
+    v1 = f1.values
+    ref_tot = complex(np.sum(v1 * pl2.values * pc3.values * w))
+    u, h = f2.values * w, v1 * pc3.values
+    gs = np.arange(G.order) if gs is None else gs
+    blocks = zip(gather_blocks(cached_action(G, "left").inv_rows(G.inv[gs]), v1, h),
+                 gather_blocks(cached_action(G, "right").inv_rows(gs), f3.values))
+    tot, case_i = np.concatenate([(np.einsum("ij,ij,j->i", A1, A3, u), np.einsum("ij,j->i", Ah, u))
+                                  for (A1, Ah), (A3,) in blocks], axis=1)
     m = len(gs)
-    return (math.fsum(tot) / m, math.fsum(case_i) / m, math.fsum(case_ii) / m, pc3)
+    return (math.fsum(np.abs(tot - ref_tot)) / m, math.fsum(np.abs(case_i - ref_tot)) / m,
+            math.fsum(np.abs(tot - case_i)) / m, pc3)
 
 
 def _triple_gs(G, f1, f2, f3, mode, samples, seed):
@@ -229,9 +220,8 @@ def correlation_family(G, f2, f3):
             "of %d bytes; only groups of order <= %d are supported"
             % (G.desc, n, n * n * 16, DENSE_LIMIT))
     E = np.empty((n, n), dtype=np.complex128)
-    rows = _triple_rows(G)
     for g in range(n):
-        lrow, crow = rows(g)
+        lrow, crow = _triple_rows(G, g)
         E[g] = f2.values[lrow] * f3.values[crow]
     return VectorFamily(group=G, space=f2.space, vectors=E,
                         l2_bound=f2.norm_inf * f3.norm_inf)
@@ -247,13 +237,12 @@ def gram_identity_check(G, f2, f3, g, h):
     _check_space(G, f2, "f2")
     _check_space(G, f3, "f3")
     w = f2.space.weights
-    rows = _triple_rows(G)
-    lg, cg = rows(g)
-    lgh, cgh = rows(G.mul(g, h))
+    lg, cg = _triple_rows(G, g)
+    lgh, cgh = _triple_rows(G, G.mul(g, h))
     e_g = f2.values[lg] * f3.values[cg]
     e_gh = f2.values[lgh] * f3.values[cgh]
     lhs = complex(np.sum(e_g * e_gh * w))
-    lh, ch = rows(h)
+    lh, ch = _triple_rows(G, h)
     F2h = f2.values * f2.values[lh]
     F3h = f3.values * f3.values[ch]
     xg = cached_action(G, "right").inv_row(g)  # (g .r F)(x) = F(xg)

@@ -19,6 +19,7 @@ from qrmix import (
     random_observable,
     trivial_action,
 )
+from qrmix.actions import ROW_BLOCK
 
 import oracles
 
@@ -137,6 +138,19 @@ def test_right_row_after_left_row_is_conjugation_row(desc):
             assert crow[x] == G.mul(G.mul(int(G.inv[g]), x), int(g))
 
 
+@pytest.mark.parametrize("desc, m", [("sl2:5", 1200), ("sl2:17", 30)])
+@pytest.mark.parametrize("kind", ["left", "right", "conjugation"])
+def test_inv_rows_blocks_stack_to_inv_row(desc, m, kind):
+    G = build_group(desc)
+    a = cached_action(G, kind)
+    gs = np.random.default_rng(17).integers(0, G.order, m)
+    blocks = [b.copy() for b in a.inv_rows(gs)]       # each block overwrites the last
+    B = max(1, ROW_BLOCK // G.order)                  # 546 rows on sl2:5, 13 on sl2:17
+    assert [len(b) for b in blocks] == [min(B, m - s) for s in range(0, m, B)]
+    assert len(blocks) > 1 and len(blocks[-1]) < B    # a short last block
+    assert np.array_equal(np.concatenate(blocks), np.stack([a.inv_row(g) for g in gs]))
+
+
 def test_inv_row_of_custom_action():
     G = build_group("symmetric:3")
     a = ActionTable(G, ProbabilitySpace.uniform(3), "custom", rows=G.backend.perms)
@@ -184,15 +198,18 @@ def test_translation_projection_is_global_mean():
 
 
 def test_conjugation_projection_is_class_average():
-    G = build_group("symmetric:4")
-    a = cached_action(G, "conjugation")
-    C = conjugacy_classes(G)
-    f = _rand(a.space, 11)
-    pf = invariant_projection(a, f)
-    for l in range(C.k):
-        members = np.nonzero(C.class_of == l)[0]
-        avg = np.mean(f.values[members])
-        assert np.max(np.abs(pf.values[members] - avg)) < 1e-12
+    for desc in ("symmetric:4", "psl2:7", "sl2:17"):      # sl2:17 has no dense table
+        G = build_group(desc)
+        a = cached_action(G, "conjugation")
+        C = conjugacy_classes(G)
+        f = _rand(a.space, 11)
+        pf = invariant_projection(a, f)
+        for l in range(C.k):
+            members = np.nonzero(C.class_of == l)[0]
+            avg = np.mean(f.values[members])
+            assert np.max(np.abs(pf.values[members] - avg)) < 1e-12
+            # constant bit for bit: the recurrence's case i reads P_c f3(yg) as P_c f3(gy)
+            assert np.all(pf.values[members] == pf.values[members[0]])
 
 
 def test_mean_ergodic_orthogonality():

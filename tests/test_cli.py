@@ -280,9 +280,22 @@ def test_plotdata_missing_file_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# golden outputs of commit 7b3b31d, before the SL2/PSL2 closed-form index,
-# written with one BLAS thread: a long complex dot product is summed per
-# thread, so its last digits depend on the thread count
+# golden outputs, written with one BLAS thread.  verify_summary.json is commit
+# 7b3b31d's, the vdc and recurrence-sl2:13 files are e4de328's.  The other three
+# were written again when sampled rows moved to blocks reduced by einsum: their
+# last digits moved, by at most 1.8e-15 relative.
+
+
+def _run_qrmix(argv, out_dir, blas_threads="1"):
+    here = os.path.dirname(os.path.abspath(__file__))
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), blas_threads)
+    env = dict(os.environ, **threads,
+               PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    # a broken kernel can make element_order loop forever
+    run = subprocess.run([sys.executable, "-m", "qrmix", *argv, "--out", str(out_dir)],
+                         env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -292,7 +305,6 @@ def test_plotdata_missing_file_exits_2(tmp_path, capsys):
      {"recurrence.csv": "recurrence_sl2_37.csv"}),
     (("mixing", "-g", "psl2:67", "--action", "conjugation", "--trials", "1", "--mc", "30",
       "--seed", "7"), {"mixing.csv": "mixing_psl2_67_conjugation.csv"}),
-    # outputs of commit e4de328, before the Koopman rows moved to ActionTable.inv_row
     (("vdc", "-g", "symmetric:4", "--trials", "10", "--seed", "7"),
      {"vdc.csv": "vdc_symmetric_4.csv"}),
     (("vdc", "-g", "sl2:11", "--trials", "2", "--mc", "100", "--seed", "1"),
@@ -303,15 +315,22 @@ def test_plotdata_missing_file_exits_2(tmp_path, capsys):
         "vdc-symmetric:4", "vdc-sl2:11", "recurrence-sl2:13"])
 def test_outputs_match_golden_files(tmp_path, argv, files):
     here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"),
-                                           os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-m", "qrmix", *argv, "--out", str(tmp_path)],
-                         env=env, capture_output=True, timeout=300)
-    assert run.returncode == 0, run.stderr
+    _run_qrmix(argv, tmp_path)
     for name, golden in files.items():
         with open(os.path.join(here, "golden", golden), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("recurrence", "-g", "sl2:37", "--trials", "1", "--mc", "30", "--seed", "7"), "recurrence.csv"),
+    (("mixing", "-g", "psl2:67", "--action", "conjugation", "--trials", "1", "--mc", "30",
+      "--seed", "7"), "mixing.csv"),
+], ids=["recurrence-sl2:37", "mixing-psl2:67-conjugation"])
+def test_sampled_outputs_independent_of_blas_threads(tmp_path, argv, name):
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        _run_qrmix(argv, tmp_path / threads, threads)
+    assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,15 @@ def test_generator_bfs_conjugacy_consistent_with_random_conjugations():
     assert np.all(C.class_of[conj] == C.class_of[xs])
 
 
+def test_from_table_group_has_few_generators_and_the_same_classes():
+    G = build_group("sl2:13")
+    E = GroupTable.from_table(G.table)
+    assert len(E.generators()) <= 10 < G.order
+    CE, CG = conjugacy_classes(E), conjugacy_classes(G)
+    assert np.array_equal(CE.class_of, CG.class_of)
+    assert (CE.class_sizes, CE.representatives) == (CG.class_sizes, CG.representatives)
+
+
 # ---------------------------------------------------------------------------
 # descriptor grammar
 

@@ -150,6 +150,35 @@ def test_monte_carlo_recurrence_deterministic():
     assert a.measured_total == b.measured_total
 
 
+def _literal_triple_errors(G, f1, f2, f3, gs):
+    """(total, case i, case ii) recomputed one g at a time in x-coordinates,
+    with case ii's f3 - P_c f3 built explicitly."""
+    pl2 = invariant_projection(cached_action(G, "left"), f2)
+    pc3 = invariant_projection(cached_action(G, "conjugation"), f3)
+    f3ii = f3 - pc3
+    ref = complex(np.sum(f1.values * pl2.values * pc3.values * f1.space.weights))
+    terms = np.array([(abs(triple_product_average(G, f1, f2, f3, g) - ref),
+                       abs(triple_product_average(G, f1, f2, pc3, g) - ref),
+                       abs(triple_product_average(G, f1, f2, f3ii, g))) for g in gs])
+    return terms.mean(axis=0)
+
+
+@pytest.mark.parametrize("desc", ["sl2:5", "psl2:7", "sl2:17"])     # sl2:17 has no dense table
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+def test_recurrence_errors_match_literal_recomputation(desc, mode):
+    G = build_group(desc)
+    f1, f2, f3 = _triple(ProbabilitySpace.uniform(G.order), 77)
+    if mode == "exact":
+        rep = triple_recurrence_error(G, f1, f2, f3)
+        gs = range(G.order)
+    else:
+        rep = triple_recurrence_error(G, f1, f2, f3, mode=mode, samples=40, seed=5)
+        gs = np.random.default_rng(5).integers(0, G.order, 40)     # the report's sample of g
+    want = _literal_triple_errors(G, f1, f2, f3, gs)
+    got = (rep.measured_total, rep.measured_case_i, rep.measured_case_ii)
+    assert got == pytest.approx(tuple(want), rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # correlation family and Gram identity
 
