@@ -46,7 +46,7 @@ def class_constants(G, C=None):
     for l in range(k):
         z = C.representatives[l]
         # xy = z  <=>  y = x^-1 z
-        cj = C.class_of[G.vec_mul(G.inv, z)]
+        cj = C.class_of[G.vec_mul(None, z)[G.inv]]
         a[:, :, l] = np.bincount(ci * k + cj, minlength=k * k).reshape(k, k)
     return ClassConstants(k=k, a=a)
 

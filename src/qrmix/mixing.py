@@ -40,14 +40,15 @@ class MixingReport:
 
 
 def _pair_correlations(a, f1, f2, gs=None):
-    """<f1, g . f2> for each g (all g when gs is None).  Sampled conjugation
-    puts y = g^-1 x: sum_y u(gy) conj f2(yg) with u = f1 nu, from the rows
-    y -> gy (left at g^-1) and y -> yg (right at g)."""
+    """<f1, g . f2> for each g (all g when gs is None), in inv_rows blocks.
+    Sampled conjugation puts y = g^-1 x: sum_y u(gy) conj f2(yg) with
+    u = f1 nu, from the rows y -> gy (left at g^-1) and y -> yg (right at g)."""
     u = f1.values * a.space.weights
     c2 = np.conj(f2.values)
-    if gs is None:
-        return c2[a.inv_rows_matrix()] @ u
     G = a.group
+    if gs is None:
+        a.inv_rows_matrix()     # refuses a group without a dense table
+        return np.concatenate([C @ u for (C,) in gather_blocks(a.inv_rows(np.arange(G.order)), c2)])
     if a.kind == "conjugation":
         blocks = zip(gather_blocks(cached_action(G, "left").inv_rows(G.inv[gs]), u),
                      gather_blocks(cached_action(G, "right").inv_rows(gs), c2))

@@ -220,9 +220,11 @@ def correlation_family(G, f2, f3):
             "of %d bytes; only groups of order <= %d are supported"
             % (G.desc, n, n * n * 16, DENSE_LIMIT))
     E = np.empty((n, n), dtype=np.complex128)
-    for g in range(n):
-        lrow, crow = _triple_rows(G, g)
-        E[g] = f2.values[lrow] * f3.values[crow]
+    gs, s = np.arange(n), 0
+    for (A2,), (A3,) in zip(gather_blocks(cached_action(G, "left").inv_rows(gs), f2.values),
+                            gather_blocks(cached_action(G, "conjugation").inv_rows(gs), f3.values)):
+        np.multiply(A2, A3, out=E[s:s + len(A2)])
+        s += len(A2)
     return VectorFamily(group=G, space=f2.space, vectors=E,
                         l2_bound=f2.norm_inf * f3.norm_inf)
 
@@ -255,21 +257,21 @@ def vdc_check(family, f, samples=None, seed=None):
     with eps = avg_{g,h} |<e_g, e_gh>|.
 
     Exact for |G| <= 512; above that a seeded (g, h) sample estimates the
-    double average (the inner products stay exact).
+    double average (the inner products stay exact).  Beside the family it
+    holds O(|G|) values and, when sampled, 2 * samples of its rows; the
+    exact branch adds the Gram matrix and a weighted copy of the family,
+    at most 4 MiB each.
     """
     G = family.group
     if f.space.size != family.space.size:
         raise SpaceMismatchError("f must live on the family's space")
     n = G.order
-    E = family.vectors
-    weighted = E * family.space.weights[None, :]
-    corr = np.abs(np.conj(E) @ (f.values * family.space.weights))  # |<f, e_g>|
+    E, w = family.vectors, family.space.weights
+    corr = np.abs(E @ (np.conj(f.values) * w))  # |conj <f, e_g>|
     rhs_integral = math.fsum(corr) / n
     if n <= VDC_EXACT_MAX:
-        gram = weighted @ np.conj(E.T)      # gram[g, h'] = <e_g, e_h'>
-        gh = G.mul_pairs(np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
-        vals = np.abs(gram[np.repeat(np.arange(n), n), gh])
-        epsilon_lhs = float(vals.sum()) / (n * n)
+        gram = (E * w) @ np.conj(E.T)       # gram[g, h'] = <e_g, e_h'>
+        epsilon_lhs = float(np.abs(np.take_along_axis(gram, G.table, axis=1)).sum()) / (n * n)
         mode = "exact"
     else:
         if samples is None or seed is None:
@@ -280,7 +282,7 @@ def vdc_check(family, f, samples=None, seed=None):
         gs = rng.integers(0, n, samples)
         hs = rng.integers(0, n, samples)
         ghs = G.mul_pairs(gs, hs)
-        vals = np.abs(np.sum(weighted[gs] * np.conj(E[ghs]), axis=1))
+        vals = np.abs(np.sum(E[gs] * w * np.conj(E[ghs]), axis=1))
         epsilon_lhs = math.fsum(vals) / samples
         mode = "monte_carlo"
     bound = math.sqrt(epsilon_lhs) * f.norm2

@@ -321,16 +321,29 @@ def test_outputs_match_golden_files(tmp_path, argv, files):
             assert (tmp_path / name).read_bytes() == fh.read()
 
 
+def _assert_same_bytes_at_one_and_two_threads(tmp_path, argv, name):
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        _run_qrmix(argv, tmp_path / threads, threads)
+    assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 @pytest.mark.parametrize("argv, name", [
     (("recurrence", "-g", "sl2:37", "--trials", "1", "--mc", "30", "--seed", "7"), "recurrence.csv"),
     (("mixing", "-g", "psl2:67", "--action", "conjugation", "--trials", "1", "--mc", "30",
       "--seed", "7"), "mixing.csv"),
 ], ids=["recurrence-sl2:37", "mixing-psl2:67-conjugation"])
 def test_sampled_outputs_independent_of_blas_threads(tmp_path, argv, name):
-    for threads in ("1", "2"):
-        (tmp_path / threads).mkdir()
-        _run_qrmix(argv, tmp_path / threads, threads)
-    assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    _assert_same_bytes_at_one_and_two_threads(tmp_path, argv, name)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("mixing", "-g", "sl2:13", "--action", "conjugation", "--trials", "3", "--seed", "7"),
+     "mixing.csv"),
+    (("vdc", "-g", "sl2:11", "--trials", "2", "--mc", "100", "--seed", "1"), "vdc.csv"),
+], ids=["mixing-sl2:13-conjugation", "vdc-sl2:11"])
+def test_exact_outputs_independent_of_blas_threads(tmp_path, argv, name):
+    _assert_same_bytes_at_one_and_two_threads(tmp_path, argv, name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qrmix import (
     cached_action,
     inner,
     invariant_projection,
+    koopman_apply,
     mixing_bound_check,
     mixing_error,
     monte_carlo_mixing_error,
@@ -151,6 +153,32 @@ def test_exact_mixing_refused_without_dense_table():
     f1, f2 = _pair(a.space, 60)
     with pytest.raises(ValueError, match=r"\|G\| = 4896.* 95883264 bytes"):
         mixing_error(a, f1, f2)
+
+
+@pytest.mark.parametrize("kind", ["left", "right", "conjugation"])
+def test_exact_mixing_matches_per_g_koopman_average(kind):
+    G = build_group("sl2:13")          # 2184 = 72 * 30 + 24: a short last row block
+    a = cached_action(G, kind)
+    f1, f2 = _pair(a.space, 62)
+    ref = inner(a.space, invariant_projection(a, f1), invariant_projection(a, f2))
+    literal = math.fsum(abs(inner(a.space, f1, koopman_apply(a, g, f2)) - ref)
+                        for g in range(G.order)) / G.order
+    assert mixing_error(a, f1, f2) == pytest.approx(literal, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["left", "right", "conjugation"])
+def test_exact_mixing_holds_no_square_temporary(kind):
+    G = build_group("sl2:13")
+    a = cached_action(G, kind)
+    a.inv_rows_matrix()
+    f1, f2 = _pair(a.space, 64)
+    tracemalloc.start()
+    try:
+        mixing_error(a, f1, f2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < G.order * G.order * 8    # half of one |G| x |G| complex array
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qrmix import (
     triple_recurrence_error,
     vdc_check,
 )
+from qrmix.recurrence import _triple_rows
 
 
 def _real(space, seed):
@@ -33,6 +35,16 @@ def _real(space, seed):
 
 def _triple(space, seed):
     return tuple(random_observable(space, seed + i) for i in range(3))
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    """Peak bytes that tracemalloc sees allocated during fn(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +224,29 @@ def test_correlation_family_abelian_form():
         assert np.allclose(fam.vectors[g], f2.values[lrow] * f3.values)
 
 
+def _sl2_13_family_inputs():
+    # |G| = 2184 = 72 * 30 + 24: the row blocks end in a short one
+    G = build_group("sl2:13")
+    for kind in ("left", "conjugation"):
+        cached_action(G, kind).inv_rows_matrix()
+    space = cached_action(G, "left").space
+    return G, random_observable(space, 84), random_observable(space, 85)
+
+
+def test_correlation_family_rows_match_triple_rows():
+    G, f2, f3 = _sl2_13_family_inputs()
+    E = correlation_family(G, f2, f3).vectors
+    for g in range(G.order):
+        lrow, crow = _triple_rows(G, g)
+        assert np.array_equal(E[g], f2.values[lrow] * f3.values[crow])
+
+
+def test_correlation_family_peak_is_the_family():
+    G, f2, f3 = _sl2_13_family_inputs()
+    family_bytes = G.order * G.order * 16
+    assert _peak_bytes(correlation_family, G, f2, f3) < family_bytes * 9 // 8
+
+
 def test_gram_identity_trivial_cases():
     G = build_group("symmetric:3")
     space = ProbabilitySpace.uniform(6)
@@ -313,6 +348,15 @@ def test_vdc_sampled_mode_deterministic():
     a = vdc_check(fam, f, samples=100, seed=4)
     b = vdc_check(fam, f, samples=100, seed=4)
     assert a.epsilon_lhs == b.epsilon_lhs and a.mode == "exact"
+
+
+def test_sampled_vdc_holds_no_square_temporary():
+    G = build_group("sl2:11")
+    space = ProbabilitySpace.uniform(G.order)
+    fam = correlation_family(G, random_observable(space, 97), random_observable(space, 98))
+    f = random_observable(space, 99)
+    # half of one |G| x |G| complex array
+    assert _peak_bytes(vdc_check, fam, f, samples=100, seed=5) < G.order * G.order * 8
 
 
 @pytest.mark.parametrize("samples", [0, -1])
