@@ -74,9 +74,6 @@ class Observable:
     def __sub__(self, other):
         return Observable(self.space, self.values - other.values)
 
-    def __add__(self, other):
-        return Observable(self.space, self.values + other.values)
-
 
 def inner(space, f1, f2):
     """<f1, f2> = sum_x f1(x) conj(f2(x)) nu(x), compensated fixed-order sum."""

@@ -14,8 +14,8 @@ import sys
 
 from .characters import CharacterError, character_degrees, quasirandom_degree
 from .groups import GroupConstructionError, build_group, conjugacy_classes
-from .sweep import (PLOT_COLUMNS, ConfigError, ExperimentConfig, _jsonable, emit_plot_data,
-                    run_sweep, sweep_group, write_csv)
+from .sweep import (BUILT_IN, PLOT_COLUMNS, ConfigError, ExperimentConfig, _jsonable,
+                    emit_plot_data, run_sweep, sweep_group, write_csv)
 from .verify import PROFILES, run_verify
 
 RECURRENCE_COLUMNS = ["group", "order", "D", "epsilon",
@@ -105,7 +105,7 @@ def build_parser():
         p.add_argument("--mc", type=int, default=2000, help="Monte Carlo samples")
         p.add_argument("--out", help="output directory")
         if name == "mixing":
-            p.add_argument("--action", default="left", choices=["left", "right", "conjugation"])
+            p.add_argument("--action", default="left", choices=BUILT_IN)
         p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="run a configured experiment sweep")

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ORDER = 2_000_000
-DENSE_LIMIT = 4096
+DENSE_LIMIT = 4096          # largest order with a dense table, row matrix and correlation family
+EXACT_MAX_ORDER = 3000      # default largest order that mixing and recurrence average exactly
+VDC_EXACT_MAX = 512         # largest order whose van der Corput Gram matrix is formed
+SAMPLE_FLOOR = {"mixing": 30, "recurrence": 1, "vdc": 1}
+SAMPLE_CEILING = 10**6      # sampled g (or (g, h) pairs) per check
+PASS_TOL = 1e-9
 
 _INDEX_DTYPE = np.int64
 
@@ -521,6 +526,38 @@ def build_group(desc):
     """Construct a group from a family descriptor string (or parsed tree)."""
     tree = parse_descriptor(desc) if isinstance(desc, str) else desc
     return GroupTable(_build_backend(tree), _canonical(tree))
+
+
+# ---------------------------------------------------------------------------
+# sampling plan
+
+
+def check_samples(experiment, samples, name="samples"):
+    """samples, if experiment can average over that many sampled g."""
+    if not SAMPLE_FLOOR[experiment] <= samples <= SAMPLE_CEILING:
+        raise ValueError("%s must be >= %d and <= %d"
+                         % (name, SAMPLE_FLOOR[experiment], SAMPLE_CEILING))
+    return samples
+
+
+def plan(experiment, desc, order, samples=None, seed=0, exact_max_order=EXACT_MAX_ORDER):
+    """None if experiment ("mixing", "recurrence", "vdc", or "family": the
+    correlation family vdc reads) averages over every g of the group desc of
+    order |G|, else the number of seeded g it samples; a ValueError naming the
+    input at fault if it cannot run."""
+    if experiment in ("vdc", "family") and order > DENSE_LIMIT:
+        raise ValueError("%s needs |G| <= %d for the |G| x |G| correlation family, and %s has "
+                         "order %d" % ("experiments: vdc" if experiment == "vdc" else
+                                       "correlation_family", DENSE_LIMIT, desc, order))
+    if experiment == "family" or order <= (VDC_EXACT_MAX if experiment == "vdc" else exact_max_order):
+        if experiment == "mixing" and order > DENSE_LIMIT:   # exact mixing reads the row matrix
+            raise ValueError("exact_max_order %d asks for exact mixing on %s (|G| = %d), "
+                             "which needs |G| <= %d" % (exact_max_order, desc, order, DENSE_LIMIT))
+        return None
+    if samples is None or seed is None:
+        raise ValueError("%s on %s (|G| = %d) samples g, and needs samples and a seed"
+                         % (experiment, desc, order))
+    return check_samples(experiment, samples)
 
 
 # ---------------------------------------------------------------------------

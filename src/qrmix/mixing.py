@@ -12,12 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import (SpaceMismatchError, cached_action, gather_blocks, inner, invariant_projection,
-                      random_observable)
+                      koopman_apply, random_observable)
 from .characters import quasirandom_degree
+from .groups import EXACT_MAX_ORDER, PASS_TOL, check_samples, plan
 from .seeding import derive_seed
 
-EXACT_MAX_ORDER = 3000
-PASS_TOL = 1e-9
 CI_Z = 2.58  # 99% normal confidence
 
 
@@ -67,8 +66,7 @@ def mixing_error(a, f1, f2):
 
 def monte_carlo_mixing_error(a, f1, f2, samples, seed):
     """Seeded estimate of the mixing error; returns (estimate, ci_halfwidth)."""
-    if samples < 30:
-        raise ValueError("samples must be >= 30")
+    check_samples("mixing", samples)
     ref = inner(a.space, invariant_projection(a, f1), invariant_projection(a, f2))
     rng = np.random.default_rng(seed)
     gs = rng.integers(0, a.group.order, samples)
@@ -83,20 +81,17 @@ def mixing_bound_check(G, kind, trials, seed, mc_samples=2000, exact_max_order=E
     D = quasirandom_degree(G)
     eps = 1.0 / math.sqrt(D)
     a = cached_action(G, kind)
-    exact = G.order <= exact_max_order
+    samples = plan("mixing", G.desc, G.order, mc_samples, seed, exact_max_order)
     reports = []
     for t in range(trials):
         f1 = random_observable(a.space, derive_seed(seed, G.desc, kind, t, "f1"))
         f2 = random_observable(a.space, derive_seed(seed, G.desc, kind, t, "f2"))
-        bound = eps * f1.norm2 * f2.norm2
-        if exact:
-            measured = mixing_error(a, f1, f2)
-            reports.append(MixingReport(G.desc, kind, D, bound, measured, "exact", trial=t, seed=seed))
-        else:
-            est, ci = monte_carlo_mixing_error(a, f1, f2, mc_samples,
-                                               derive_seed(seed, G.desc, kind, t, "mc"))
-            reports.append(MixingReport(G.desc, kind, D, bound, est, "monte_carlo",
-                                        trial=t, samples=mc_samples, seed=seed, ci_halfwidth=ci))
+        measured, ci = ((mixing_error(a, f1, f2), None) if samples is None else
+                        monte_carlo_mixing_error(a, f1, f2, samples,
+                                                 derive_seed(seed, G.desc, kind, t, "mc")))
+        reports.append(MixingReport(G.desc, kind, D, eps * f1.norm2 * f2.norm2, measured,
+                                    "exact" if samples is None else "monte_carlo", trial=t,
+                                    samples=samples, seed=seed, ci_halfwidth=ci))
     return reports
 
 
@@ -107,8 +102,6 @@ def reduction_identity_check(a, f1, f2, g):
     explicitly and pairs them under the right translation, an independent
     code path from the left side.
     """
-    from .actions import koopman_apply  # local import avoids a cycle at module load
-
     G = a.group
     lhs = inner(a.space, f1, koopman_apply(a, g, f2))
     M = a.inv_rows_matrix()           # M[h, x] = h^-1 . x

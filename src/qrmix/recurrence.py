@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import (
-    Observable,
+    ROW_BLOCK,
     SpaceMismatchError,
     cached_action,
     gather_blocks,
@@ -22,12 +22,10 @@ from .actions import (
     invariant_projection,
 )
 from .characters import quasirandom_degree
-from .groups import DENSE_LIMIT
+from .groups import PASS_TOL, plan
 
-PASS_TOL = 1e-9
 IDENTITY_TOL = 1e-10
 NORM_TOL = 1e-12
-VDC_EXACT_MAX = 512
 
 
 class PreconditionError(ValueError):
@@ -65,9 +63,6 @@ class VectorFamily:
     space: object
     vectors: np.ndarray       # row g = values of e_g
     l2_bound: float           # recorded sup_g ||e_g||_2 upper bound
-
-    def observable(self, g):
-        return Observable(self.space, self.vectors[g])
 
 
 @dataclass
@@ -153,15 +148,11 @@ def _triple_gs(G, f1, f2, f3, mode, samples, seed):
         if f.norm_inf > 1.0 + NORM_TOL:
             raise PreconditionError("%s violates the L-infinity <= 1 precondition "
                                     "(norm %.6g)" % (name, f.norm_inf))
-    if mode == "exact":
-        return None
-    if mode != "monte_carlo":
+    if mode not in ("exact", "monte_carlo"):
         raise ValueError("mode must be exact or monte_carlo")
-    if samples is None or seed is None:
-        raise ValueError("monte_carlo mode needs samples and seed")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    return np.random.default_rng(seed).integers(0, G.order, samples)
+    samples = plan("recurrence", G.desc, G.order, samples, seed,
+                   exact_max_order=G.order if mode == "exact" else 0)
+    return None if samples is None else np.random.default_rng(seed).integers(0, G.order, samples)
 
 
 def triple_recurrence_error(G, f1, f2, f3, mode="exact", samples=None, seed=None):
@@ -186,7 +177,7 @@ def triple_recurrence_error(G, f1, f2, f3, mode="exact", samples=None, seed=None
         measured_case_ii=case_ii,
         mode=mode,
         samples=None if gs is None else len(gs),
-        seed=seed,
+        seed=None if gs is None else seed,
     )
 
 
@@ -206,19 +197,12 @@ def case_decomposition(G, f1, f2, f3, mode="exact", samples=None, seed=None):
 
 
 def correlation_family(G, f2, f3):
-    """e_g(x) = f2(g^-1 x) f3(g^-1 x g) for every g.
-
-    The family is a dense |G| x |G| array, so groups above DENSE_LIMIT,
-    which carry no dense table either, are refused before allocating it.
-    """
+    """e_g(x) = f2(g^-1 x) f3(g^-1 x g) for every g, as a dense |G| x |G|
+    array: refused before it is allocated on groups without a dense table."""
     _check_space(G, f2, "f2")
     _check_space(G, f3, "f3")
     n = G.order
-    if n > DENSE_LIMIT:
-        raise PreconditionError(
-            "correlation family of %s (|G| = %d) needs a |G| x |G| complex array "
-            "of %d bytes; only groups of order <= %d are supported"
-            % (G.desc, n, n * n * 16, DENSE_LIMIT))
+    plan("family", G.desc, n)
     E = np.empty((n, n), dtype=np.complex128)
     gs, s = np.arange(n), 0
     for (A2,), (A3,) in zip(gather_blocks(cached_action(G, "left").inv_rows(gs), f2.values),
@@ -258,9 +242,9 @@ def vdc_check(family, f, samples=None, seed=None):
 
     Exact for |G| <= 512; above that a seeded (g, h) sample estimates the
     double average (the inner products stay exact).  Beside the family it
-    holds O(|G|) values and, when sampled, 2 * samples of its rows; the
-    exact branch adds the Gram matrix and a weighted copy of the family,
-    at most 4 MiB each.
+    holds O(|G|) values and, when sampled, O(samples) indices and two reused
+    blocks of rows, about 2^16 complex values each; the exact branch adds
+    the Gram matrix and a weighted copy of the family, at most 4 MiB each.
     """
     G = family.group
     if f.space.size != family.space.size:
@@ -269,24 +253,27 @@ def vdc_check(family, f, samples=None, seed=None):
     E, w = family.vectors, family.space.weights
     corr = np.abs(E @ (np.conj(f.values) * w))  # |conj <f, e_g>|
     rhs_integral = math.fsum(corr) / n
-    if n <= VDC_EXACT_MAX:
+    samples = plan("vdc", G.desc, n, samples, seed)
+    if samples is None:
         gram = (E * w) @ np.conj(E.T)       # gram[g, h'] = <e_g, e_h'>
         epsilon_lhs = float(np.abs(np.take_along_axis(gram, G.table, axis=1)).sum()) / (n * n)
-        mode = "exact"
     else:
-        if samples is None or seed is None:
-            raise ValueError("groups above order %d need samples and seed" % VDC_EXACT_MAX)
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
         rng = np.random.default_rng(seed)
         gs = rng.integers(0, n, samples)
         hs = rng.integers(0, n, samples)
         ghs = G.mul_pairs(gs, hs)
-        vals = np.abs(np.sum(E[gs] * w * np.conj(E[ghs]), axis=1))
+        B = max(1, ROW_BLOCK // n)
+        vals, (A, C) = np.empty(samples), np.empty((2, min(B, samples), n), dtype=np.complex128)
+        for s in range(0, samples, B):     # the rows of e_g w conj(e_gh), B pairs at a time
+            g, gh = gs[s:s + B], ghs[s:s + B]
+            a, c = A[:len(g)], C[:len(g)]
+            np.multiply(np.take(E, g, axis=0, out=a, mode="clip"), w, out=a)
+            np.conj(np.take(E, gh, axis=0, out=c, mode="clip"), out=c)
+            vals[s:s + B] = np.abs(np.sum(np.multiply(a, c, out=a), axis=1))
         epsilon_lhs = math.fsum(vals) / samples
-        mode = "monte_carlo"
     bound = math.sqrt(epsilon_lhs) * f.norm2
-    return VdcResult(epsilon_lhs=epsilon_lhs, rhs_integral=rhs_integral, bound=bound, mode=mode)
+    return VdcResult(epsilon_lhs=epsilon_lhs, rhs_integral=rhs_integral, bound=bound,
+                     mode="exact" if samples is None else "monte_carlo")
 
 
 def bessel_check(vectors, f, ortho_tol=IDENTITY_TOL):

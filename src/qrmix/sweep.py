@@ -11,18 +11,17 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .actions import ProbabilitySpace, random_observable
+from .actions import BUILT_IN, ProbabilitySpace, random_observable
 from .characters import character_degrees, quasirandom_degree
-from .groups import (DENSE_LIMIT, GroupConstructionError, build_group, canonical_descriptor,
-                     conjugacy_classes, group_order)
-from .mixing import EXACT_MAX_ORDER, mixing_bound_check
+from .groups import (EXACT_MAX_ORDER, GroupConstructionError, build_group, canonical_descriptor,
+                     check_samples, conjugacy_classes, group_order, plan)
+from .mixing import mixing_bound_check
 from .recurrence import correlation_family, triple_recurrence_error, vdc_check
 from .seeding import derive_seed
 
 EXPERIMENTS = ("degrees", "mixing", "recurrence", "vdc")
-ACTION_KINDS = ("left", "right", "conjugation")
 
 RESULT_COLUMNS = [
     "group", "order", "experiment", "action", "trial", "seed", "D", "epsilon",
@@ -43,19 +42,16 @@ class ExperimentConfig:
     experiments: list
     trials: int = 10
     master_seed: int = 0
-    actions: list = field(default_factory=lambda: list(ACTION_KINDS))
+    actions: list = field(default_factory=lambda: list(BUILT_IN))
     exact_max_order: int = EXACT_MAX_ORDER
     mc_samples: int = 2000
     out_dir: str = "."
-
-    _KEYS = ("groups", "experiments", "trials", "master_seed", "actions",
-             "exact_max_order", "mc_samples", "out_dir")
 
     def __post_init__(self):
         for key in ("trials", "master_seed", "exact_max_order", "mc_samples"):
             if type(getattr(self, key)) is not int:     # a bool is no count
                 raise ConfigError("%s must be an integer, got %r" % (key, getattr(self, key)))
-        for key, known in (("groups", None), ("experiments", EXPERIMENTS), ("actions", ACTION_KINDS)):
+        for key, known in (("groups", None), ("experiments", EXPERIMENTS), ("actions", BUILT_IN)):
             value = getattr(self, key)
             if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
                 raise ConfigError("%s must be a non-empty list of strings, got %r" % (key, value))
@@ -70,40 +66,32 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be in [0, 2^64)")
         if self.exact_max_order < 1:
             raise ConfigError("exact_max_order must be >= 1")
-        if self.mc_samples < 30:
-            raise ConfigError("mc_samples must be >= 30")
-        self.groups = [canonical_descriptor(g) for g in self.groups]  # raises on bad ones
-        if len(set(self.groups)) < len(self.groups):
-            raise ConfigError("groups name one group twice: %s" % ", ".join(self.groups))
-        vdc = "vdc" in self.experiments
-        exact_mixing = "mixing" in self.experiments and self.exact_max_order > DENSE_LIMIT
-        for g in self.groups if vdc or exact_mixing else []:
-            try:
-                order = group_order(g)
-            except GroupConstructionError:
-                continue    # run_sweep reports it as the group's error
-            # the correlation family and exact mixing's rows are |G| x |G|
-            if vdc and order > DENSE_LIMIT:
-                raise ConfigError("experiments: vdc needs |G| <= %d, and %s has order %d"
-                                  % (DENSE_LIMIT, g, order))
-            if exact_mixing and DENSE_LIMIT < order <= self.exact_max_order:
-                raise ConfigError("exact_max_order %d asks for exact mixing on %s (|G| = %d), "
-                                  "which needs |G| <= %d" % (self.exact_max_order, g, order,
-                                                             DENSE_LIMIT))
+        checks = [e for e in self.experiments if e != "degrees"]
+        try:
+            check_samples("mixing", self.mc_samples, "mc_samples")   # its floor is the highest
+            self.groups = [canonical_descriptor(g) for g in self.groups]  # raises on bad ones
+            if len(set(self.groups)) < len(self.groups):
+                raise ConfigError("groups name one group twice: %s" % ", ".join(self.groups))
+            for g in self.groups if checks else []:
+                try:
+                    order = group_order(g)
+                except GroupConstructionError:
+                    continue    # run_sweep reports it as the group's error
+                for exp in checks:
+                    plan(exp, g, order, self.mc_samples, self.master_seed, self.exact_max_order)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data) - set(cls._KEYS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError("unknown config keys: %s" % ", ".join(sorted(unknown)))
         if "groups" not in data or "experiments" not in data:
             raise ConfigError("config needs 'groups' and 'experiments'")
-        try:
-            return cls(**data)
-        except GroupConstructionError as exc:
-            raise ConfigError(str(exc))
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path):
@@ -139,10 +127,8 @@ def recurrence_trial(G, seed, samples=None):
     or over `samples` seeded g."""
     space = ProbabilitySpace.uniform(G.order)
     fs = [random_observable(space, derive_seed(seed, n)) for n in ("f1", "f2", "f3")]
-    if samples is None:
-        return triple_recurrence_error(G, *fs)
-    return triple_recurrence_error(G, *fs, mode="monte_carlo", samples=samples,
-                                   seed=derive_seed(seed, "g"))
+    return triple_recurrence_error(G, *fs, mode="exact" if samples is None else "monte_carlo",
+                                   samples=samples, seed=derive_seed(seed, "g"))
 
 
 def vdc_trial(G, seed, samples):
@@ -197,10 +183,10 @@ def sweep_group(cfg, G):
                                      ci=rep.ci_halfwidth, **{"pass": rep.passed}))
                     tally(rep.bound, rep.measured, rep.passed)
         elif exp == "recurrence":
-            exact = G.order <= cfg.exact_max_order
+            samples = plan(exp, desc, G.order, cfg.mc_samples, cfg.master_seed, cfg.exact_max_order)
             for t in range(cfg.trials):
                 seed = derive_seed(cfg.master_seed, desc, exp, t)
-                rep = recurrence_trial(G, seed, None if exact else cfg.mc_samples)
+                rep = recurrence_trial(G, seed, samples)
                 rows.append(_row(group=desc, order=G.order, experiment=exp, trial=t,
                                  seed=seed, D=rep.D, epsilon=rep.epsilon,
                                  bound=rep.bound_total, measured=rep.measured_total,

@@ -32,7 +32,7 @@ from .actions import (
     random_observable,
 )
 from .characters import character_degrees, quasirandom_degree
-from .groups import build_group, conjugacy_classes
+from .groups import PASS_TOL, build_group, conjugacy_classes
 from .mixing import (
     mixing_bound_check,
     mixing_error,
@@ -41,7 +41,6 @@ from .mixing import (
 )
 from .recurrence import (
     IDENTITY_TOL,
-    PASS_TOL,
     VectorFamily,
     gram_identity_check,
     vdc_check,

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from qrmix import ExperimentConfig, ConfigError, build_group, character_degrees, emit_plot_data, run_sweep
-from qrmix import sweep
+from qrmix import mixing_bound_check, sweep
+from qrmix.groups import plan
 from qrmix.cli import main
 from qrmix.sweep import RESULT_COLUMNS, write_results
 
@@ -181,7 +182,7 @@ def test_config_invariants():
     {"trials": "3"}, {"trials": 1.5}, {"trials": True}, {"groups": "cyclic:5"},
     {"groups": []}, {"experiments": []}, {"actions": []}, {"mc_samples": 5},
     {"master_seed": -1}, {"groups": ["sl2:05", "sl2:5"]},
-    {"exact_max_order": 6000, "groups": ["symmetric:7"]},
+    {"exact_max_order": 6000, "groups": ["symmetric:7"]}, {"mc_samples": 10**6 + 1},
 ], ids=lambda o: json.dumps(o))
 def test_sweep_rejects_invalid_config(tmp_path, capsys, overrides):
     code, out, err = run_cli(capsys, "sweep", "--config", _config(tmp_path, **overrides))
@@ -216,6 +217,22 @@ def test_sweep_refuses_oversized_vdc_before_any_work(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("desc, exact", [("product:sl2:5,symmetric:4", True),   # |G| = 2880
+                                         ("psl2:19", False)])                     # |G| = 3420
+def test_checks_follow_the_plan(monkeypatch, desc, exact):
+    G = build_group(desc)
+    for exp in ("mixing", "recurrence"):
+        assert plan(exp, desc, G.order, 30, 0) == (None if exact else 30)
+    rep, = mixing_bound_check(G, "left", 1, 0, mc_samples=30)
+    assert (rep.mode, rep.samples) == (("exact", None) if exact else ("monte_carlo", 30))
+    planned, trial = [], sweep.recurrence_trial
+    monkeypatch.setattr(sweep, "recurrence_trial",
+                        lambda G, seed, samples: planned.append(samples) or trial(G, seed, samples))
+    cfg = ExperimentConfig(groups=[desc], experiments=["recurrence"], trials=1, mc_samples=30)
+    rows, _ = sweep.sweep_group(cfg, G)
+    assert planned == [None if exact else 30] and rows[0]["pass"] == "true"
+
+
 def test_sweep_rejects_non_object_config(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(["cyclic:5"]))
@@ -231,6 +248,9 @@ def test_sweep_rejects_non_object_config(tmp_path, capsys):
     ("mixing", "-g", "cyclic:5", "--seed", "-1"),
     # |G| = 4896 is above the dense limit: refused before the |G|^2 family
     ("vdc", "-g", "sl2:17", "--trials", "1"),
+    # sample counts above the ceiling: refused before any O(samples) array
+    ("recurrence", "-g", "sl2:37", "--trials", "1", "--mc", "1000000000000"),
+    ("vdc", "-g", "sl2:13", "--trials", "1", "--mc", "100000000"),
 ], ids=" ".join)
 def test_cli_rejects_invalid_input(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))

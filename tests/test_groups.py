@@ -14,6 +14,7 @@ from qrmix import (
     parse_descriptor,
     verify_group_axioms,
 )
+from qrmix.groups import check_samples, plan
 
 import oracles
 
@@ -274,3 +275,45 @@ def test_labels_are_distinct():
                  "product:cyclic:2,cyclic:3"]:
         G = build_group(desc)
         assert len(set(G.labels)) == G.order
+
+
+# ---------------------------------------------------------------------------
+# sampling plan: None means every g, a count means that many sampled g
+
+
+@pytest.mark.parametrize("experiment, order, exact_max_order, expected", [
+    ("vdc", 512, 3000, None), ("vdc", 513, 3000, 200), ("vdc", 4096, 3000, 200),
+    ("mixing", 3000, 3000, None), ("mixing", 3001, 3000, 200),
+    ("recurrence", 3000, 3000, None), ("recurrence", 3001, 3000, 200),
+    ("mixing", 4096, 6000, None), ("mixing", 4097, 3000, 200),
+    ("recurrence", 4097, 6000, None), ("family", 4096, 3000, None),
+])
+def test_plan_edges(experiment, order, exact_max_order, expected):
+    assert plan(experiment, "g", order, 200, 0, exact_max_order) == expected
+
+
+@pytest.mark.parametrize("experiment, order, exact_max_order, samples, seed, message", [
+    ("vdc", 4097, 3000, 200, 0, "experiments: vdc needs |G| <= 4096"),
+    ("family", 4097, 3000, None, None, "correlation_family needs |G| <= 4096"),
+    ("mixing", 4097, 6000, 200, 0, "exact_max_order 6000 asks for exact mixing on g"),
+    ("vdc", 513, 3000, None, 0, "vdc on g (|G| = 513) samples g, and needs samples"),
+    ("recurrence", 3001, 3000, 200, None, "recurrence on g (|G| = 3001) samples g"),
+    ("mixing", 3001, 3000, 29, 0, "samples must be >= 30"),
+])
+def test_plan_refusals_name_the_input(experiment, order, exact_max_order, samples, seed, message):
+    with pytest.raises(ValueError) as exc:
+        plan(experiment, "g", order, samples, seed, exact_max_order)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("experiment, samples, ok", [
+    ("mixing", 29, False), ("mixing", 30, True), ("recurrence", 0, False),
+    ("recurrence", 1, True), ("vdc", 0, False), ("vdc", 1, True),
+    ("mixing", 10**6, True), ("recurrence", 10**6 + 1, False), ("vdc", 10**12, False),
+])
+def test_check_samples_floor_and_ceiling(experiment, samples, ok):
+    if ok:
+        assert check_samples(experiment, samples) == samples
+    else:
+        with pytest.raises(ValueError, match="samples must be >= "):
+            check_samples(experiment, samples)

@@ -355,8 +355,16 @@ def test_sampled_vdc_holds_no_square_temporary():
     space = ProbabilitySpace.uniform(G.order)
     fam = correlation_family(G, random_observable(space, 97), random_observable(space, 98))
     f = random_observable(space, 99)
-    # half of one |G| x |G| complex array
-    assert _peak_bytes(vdc_check, fam, f, samples=100, seed=5) < G.order * G.order * 8
+    # half of one |G| x |G| complex array, however many (g, h) pairs are sampled
+    for samples in (100, 5000):
+        assert _peak_bytes(vdc_check, fam, f, samples=samples, seed=5) < G.order * G.order * 8
+
+
+def test_correlation_family_refused_without_dense_table():
+    G = build_group("sl2:17")          # |G| = 4896, above the dense limit
+    space = ProbabilitySpace.uniform(G.order)
+    with pytest.raises(ValueError, match="^correlation_family needs .* sl2:17 has order 4896"):
+        correlation_family(G, random_observable(space, 1), random_observable(space, 2))
 
 
 @pytest.mark.parametrize("samples", [0, -1])
