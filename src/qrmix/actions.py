@@ -14,7 +14,6 @@ import numpy as np
 from .groups import conjugacy_classes, into
 
 _WEIGHT_TOL = 1e-12
-ROW_BLOCK = 1 << 16   # elements per block of inv_rows and gather_blocks
 
 
 class SpaceMismatchError(ValueError):
@@ -102,7 +101,6 @@ class ActionTable:
         self.space = space
         self.kind = kind
         self._rows = None
-        self._inv_rows = None
         self._orbit_of = None
         if kind == "custom":
             rows = np.asarray(rows)
@@ -147,39 +145,25 @@ class ActionTable:
         return int(self.act_row(g)[x])
 
     def inv_row(self, g, out=None):
-        """x -> g^-1 . x, the row behind the Koopman operator: read from
-        inv_rows_matrix where G has a dense table, else one act_row.
-        Written into out when given."""
-        G = self.group
-        if G.table is None:
-            return self.act_row(int(G.inv[g]), out)
-        return into(out, self.inv_rows_matrix()[g])
+        """x -> g^-1 . x, the row behind the Koopman operator; into out when given."""
+        return self.act_row(int(self.group.inv[g]), out)
 
-    def inv_rows(self, gs):
-        """inv_row(g) for g in gs, in blocks of B = max(1, ROW_BLOCK // |X|) rows (the
-        last may be shorter), each a view of one buffer that the next overwrites."""
-        B = max(1, ROW_BLOCK // self.space.size)
-        buf = np.empty((min(B, len(gs)), self.space.size), dtype=np.intp)
-        for s in range(0, len(gs), B):
-            block = buf[:min(B, len(gs) - s)]
-            for row, g in zip(block, gs[s:s + B]):
-                self.inv_row(int(g), out=row)
-            yield block
+    def check_dense(self):
+        """Refuse a built-in action of a group without a dense table: its row
+        matrix, and its exact g-averages, are not formed."""
+        G = self.group
+        if self._rows is None and G.table is None:
+            raise ValueError("the %s action of %s (|G| = %d) has no row matrix: it needs a "
+                             "dense table, and would take %d bytes"
+                             % (self.kind, G.desc, G.order, 4 * G.order * G.order))
 
     def inv_rows_matrix(self):
-        """Matrix M with M[g, x] = g^-1 . x, cached; drives exact g-averages."""
-        if self._inv_rows is None:
-            G = self.group
-            if self._rows is None and G.table is None:
-                raise ValueError("the %s action of %s (|G| = %d) has no row matrix: it needs a "
-                                 "dense table, and would take %d bytes"
-                                 % (self.kind, G.desc, G.order, 4 * G.order * G.order))
-            M = np.empty((G.order, self.space.size), dtype=np.int32)
-            for g in range(G.order):
-                self.act_row(int(G.inv[g]), out=M[g])
-            M.flags.writeable = False
-            self._inv_rows = M
-        return self._inv_rows
+        """Matrix M with M[g, x] = g^-1 . x, built on each call."""
+        self.check_dense()
+        M = np.empty((self.group.order, self.space.size), dtype=np.int32)
+        for g in range(self.group.order):
+            self.inv_row(g, out=M[g])
+        return M
 
     def orbit_of(self):
         """Orbit index per point of X (orbits of the full group action)."""
@@ -223,8 +207,7 @@ def build_action(G, kind):
 
 
 def cached_action(G, kind):
-    """Per-group memo of the built-in actions: they share one uniform space,
-    and each keeps its row matrix once built."""
+    """Per-group memo of the built-in actions: they share one uniform space."""
     cache = getattr(G, "_action_cache", None)
     if cache is None:
         cache = G._action_cache = {}

@@ -47,11 +47,10 @@ def cmd_degrees(args):
 def cmd_check(args):
     """mixing, recurrence, vdc: a one-group sweep of that experiment, its rows
     renamed onto the subcommand's CSV schema."""
-    G = build_group(args.group)
-    cfg = ExperimentConfig(groups=[G.desc], experiments=[args.command], trials=args.trials,
+    cfg = ExperimentConfig(groups=[args.group], experiments=[args.command], trials=args.trials,
                            master_seed=args.seed, actions=[getattr(args, "action", "left")],
                            mc_samples=args.mc)
-    rows, _ = sweep_group(cfg, G)
+    rows, _ = sweep_group(cfg, build_group(cfg.groups[0]))   # the group once its inputs pass
     columns = COLUMNS[args.command]
     out = [{c: row[RENAMED.get(c, c)] for c in columns} for row in rows]
     write_csv(sys.stdout, columns, out)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ORDER = 2_000_000
-DENSE_LIMIT = 4096          # largest order with a dense table, row matrix and correlation family
+DENSE_LIMIT = 4096          # largest order with a dense table, exact mixing and correlation family
+ROW_BLOCK = 1 << 16         # elements per block of translates and gather_blocks
 EXACT_MAX_ORDER = 3000      # default largest order that mixing and recurrence average exactly
 VDC_EXACT_MAX = 512         # largest order whose van der Corput Gram matrix is formed
 SAMPLE_FLOOR = {"mixing": 30, "recurrence": 1, "vdc": 1}
@@ -403,6 +404,7 @@ class GroupTable:
             for g in range(self.order):
                 self.table[g] = backend.mul_vec(g, None)
             self.table.flags.writeable = False
+        self._table_t = None     # the table's transpose, built on first use
         # downstream caches (conjugacy data, degrees) live on the instance
         self._conjugacy = None
         self._degrees = None
@@ -436,6 +438,31 @@ class GroupTable:
         if self.table is not None:
             return self.table[np.asarray(is_), np.asarray(js)]
         return self.backend.mul_pairs(is_, js)
+
+    def translates(self, gs, right=False):
+        """The rows y -> g y (y -> y g when right) for g in gs, in blocks of
+        B = max(1, ROW_BLOCK // |G|) rows (the last may be shorter), each a view
+        of one intp buffer that the next block overwrites.  A block is one
+        gather from the table, or from its transpose when right, else one
+        kernel call per row."""
+        gs = np.asarray(gs)
+        B = max(1, ROW_BLOCK // self.order)
+        buf = np.empty((min(B, len(gs)), self.order), dtype=np.intp)
+        if right and self.table is not None and self._table_t is None:
+            self._table_t = np.ascontiguousarray(self.table.T)   # row g: y -> y g
+            self._table_t.flags.writeable = False
+        table = self._table_t if right else self.table
+        for s in range(0, len(gs), B):
+            block, block_gs = buf[:min(B, len(gs) - s)], gs[s:s + B]
+            if table is not None:
+                block[...] = table[block_gs]
+            elif right:
+                for row, g in zip(block, block_gs):
+                    self.vec_mul(None, int(g), out=row)
+            else:
+                for row, g in zip(block, block_gs):
+                    self.mul_vec(int(g), out=row)
+            yield block
 
     def generators(self):
         return self.backend.generators()
@@ -550,7 +577,7 @@ def plan(experiment, desc, order, samples=None, seed=0, exact_max_order=EXACT_MA
                          "order %d" % ("experiments: vdc" if experiment == "vdc" else
                                        "correlation_family", DENSE_LIMIT, desc, order))
     if experiment == "family" or order <= (VDC_EXACT_MAX if experiment == "vdc" else exact_max_order):
-        if experiment == "mixing" and order > DENSE_LIMIT:   # exact mixing reads the row matrix
+        if experiment == "mixing" and order > DENSE_LIMIT:   # exact mixing gathers from the table
             raise ValueError("exact_max_order %d asks for exact mixing on %s (|G| = %d), "
                              "which needs |G| <= %d" % (exact_max_order, desc, order, DENSE_LIMIT))
         return None

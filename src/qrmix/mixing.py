@@ -39,20 +39,23 @@ class MixingReport:
 
 
 def _pair_correlations(a, f1, f2, gs=None):
-    """<f1, g . f2> for each g (all g when gs is None), in inv_rows blocks.
-    Sampled conjugation puts y = g^-1 x: sum_y u(gy) conj f2(yg) with
-    u = f1 nu, from the rows y -> gy (left at g^-1) and y -> yg (right at g)."""
+    """<f1, g . f2> for each g in gs (every g when None), in translate blocks:
+    left reads the rows x -> g^-1 x, right x -> xg.  Conjugation puts y = g^-1 x:
+    sum_y u(gy) conj f2(yg) with u = f1 nu, from the rows y -> gy and y -> yg."""
     u = f1.values * a.space.weights
     c2 = np.conj(f2.values)
     G = a.group
     if gs is None:
-        a.inv_rows_matrix()     # refuses a group without a dense table
-        return np.concatenate([C @ u for (C,) in gather_blocks(a.inv_rows(np.arange(G.order)), c2)])
+        a.check_dense()
+        gs = np.arange(G.order)
     if a.kind == "conjugation":
-        blocks = zip(gather_blocks(cached_action(G, "left").inv_rows(G.inv[gs]), u),
-                     gather_blocks(cached_action(G, "right").inv_rows(gs), c2))
+        blocks = zip(gather_blocks(G.translates(gs), u), gather_blocks(G.translates(gs, right=True), c2))
         return np.concatenate([np.einsum("ij,ij->i", U, C) for (U,), (C,) in blocks])
-    return np.concatenate([np.einsum("ij,j->i", C, u) for (C,) in gather_blocks(a.inv_rows(gs), c2)])
+    if a.kind == "custom":
+        rows = [a.inv_rows_matrix()[gs]]
+    else:
+        rows = G.translates(G.inv[gs]) if a.kind == "left" else G.translates(gs, right=True)
+    return np.concatenate([np.einsum("ij,j->i", C, u) for (C,) in gather_blocks(rows, c2)])
 
 
 def mixing_error(a, f1, f2):

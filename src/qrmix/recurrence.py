@@ -13,16 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import (
-    ROW_BLOCK,
-    SpaceMismatchError,
-    cached_action,
-    gather_blocks,
-    inner,
-    invariant_projection,
-)
+from .actions import SpaceMismatchError, cached_action, gather_blocks, inner, invariant_projection
 from .characters import quasirandom_degree
-from .groups import PASS_TOL, plan
+from .groups import PASS_TOL, ROW_BLOCK, plan
 
 IDENTITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -100,16 +93,11 @@ def _check_space(G, f, name):
         raise SpaceMismatchError("%s must live on X = G (size %d)" % (name, G.order))
 
 
-def _triple_rows(G, g):
-    """x -> g^-1 x and x -> g^-1 x g: the left and conjugation actions' rows."""
-    return cached_action(G, "left").inv_row(g), cached_action(G, "conjugation").inv_row(g)
-
-
 def triple_product_average(G, f1, f2, f3, g):
     """avg_x f1(x) f2(g^-1 x) f3(g^-1 x g)."""
     for f, name in ((f1, "f1"), (f2, "f2"), (f3, "f3")):
         _check_space(G, f, name)
-    lrow, crow = _triple_rows(G, g)
+    lrow, crow = (cached_action(G, kind).inv_row(g) for kind in ("left", "conjugation"))
     w = f1.space.weights
     return complex(np.sum(f1.values * f2.values[lrow] * f3.values[crow] * w))
 
@@ -118,7 +106,7 @@ def _triple_errors(G, f1, f2, f3, gs):
     """Per-g total/case-i/case-ii deviations, averaged over gs (None: every g).
 
     With y = g^-1 x the triple average is avg_y f1(gy) f2(y) f3(yg), from the
-    rows y -> gy (left at g^-1) and y -> yg (right at g).  Case i puts P_c f3
+    rows y -> gy and y -> yg, the group's translates.  Case i puts P_c f3
     for f3; P_c f3 is constant on classes and gy = g (yg) g^-1, so it reads
     avg_y h(gy) f2(y) with h = f1 P_c f3.  Case ii, with f3 - P_c f3, is the
     total less case i.
@@ -130,8 +118,8 @@ def _triple_errors(G, f1, f2, f3, gs):
     ref_tot = complex(np.sum(v1 * pl2.values * pc3.values * w))
     u, h = f2.values * w, v1 * pc3.values
     gs = np.arange(G.order) if gs is None else gs
-    blocks = zip(gather_blocks(cached_action(G, "left").inv_rows(G.inv[gs]), v1, h),
-                 gather_blocks(cached_action(G, "right").inv_rows(gs), f3.values))
+    blocks = zip(gather_blocks(G.translates(gs), v1, h),
+                 gather_blocks(G.translates(gs, right=True), f3.values))
     tot, case_i = np.concatenate([(np.einsum("ij,ij,j->i", A1, A3, u), np.einsum("ij,j->i", Ah, u))
                                   for (A1, Ah), (A3,) in blocks], axis=1)
     m = len(gs)
@@ -198,17 +186,17 @@ def case_decomposition(G, f1, f2, f3, mode="exact", samples=None, seed=None):
 
 def correlation_family(G, f2, f3):
     """e_g(x) = f2(g^-1 x) f3(g^-1 x g) for every g, as a dense |G| x |G|
-    array: refused before it is allocated on groups without a dense table."""
+    array: refused before it is allocated on groups without a dense table.
+    Row g is f2[L] f3[R[L]], with L the row x -> g^-1 x and R the row y -> yg."""
     _check_space(G, f2, "f2")
     _check_space(G, f3, "f3")
     n = G.order
     plan("family", G.desc, n)
     E = np.empty((n, n), dtype=np.complex128)
-    gs, s = np.arange(n), 0
-    for (A2,), (A3,) in zip(gather_blocks(cached_action(G, "left").inv_rows(gs), f2.values),
-                            gather_blocks(cached_action(G, "conjugation").inv_rows(gs), f3.values)):
-        np.multiply(A2, A3, out=E[s:s + len(A2)])
-        s += len(A2)
+    s = 0
+    for L, R in zip(G.translates(G.inv), G.translates(np.arange(n), right=True)):
+        np.multiply(f2.values[L], f3.values[np.take_along_axis(R, L, axis=1)], out=E[s:s + len(L)])
+        s += len(L)
     return VectorFamily(group=G, space=f2.space, vectors=E,
                         l2_bound=f2.norm_inf * f3.norm_inf)
 
@@ -222,15 +210,14 @@ def gram_identity_check(G, f2, f3, g, h):
     """
     _check_space(G, f2, "f2")
     _check_space(G, f3, "f3")
-    w = f2.space.weights
-    lg, cg = _triple_rows(G, g)
-    lgh, cgh = _triple_rows(G, G.mul(g, h))
-    e_g = f2.values[lg] * f3.values[cg]
-    e_gh = f2.values[lgh] * f3.values[cgh]
+    w, v2, v3 = f2.space.weights, f2.values, f3.values
+    left, conj = cached_action(G, "left"), cached_action(G, "conjugation")
+    e_g = v2[left.inv_row(g)] * v3[conj.inv_row(g)]
+    gh = G.mul(g, h)
+    e_gh = v2[left.inv_row(gh)] * v3[conj.inv_row(gh)]
     lhs = complex(np.sum(e_g * e_gh * w))
-    lh, ch = _triple_rows(G, h)
-    F2h = f2.values * f2.values[lh]
-    F3h = f3.values * f3.values[ch]
+    F2h = v2 * v2[left.inv_row(h)]
+    F3h = v3 * v3[conj.inv_row(h)]
     xg = cached_action(G, "right").inv_row(g)  # (g .r F)(x) = F(xg)
     rhs = complex(np.sum(F2h * F3h[xg] * w))
     return GramCheck(lhs=lhs, rhs=rhs, discrepancy=abs(lhs - rhs))

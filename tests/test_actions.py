@@ -19,7 +19,7 @@ from qrmix import (
     random_observable,
     trivial_action,
 )
-from qrmix.actions import ROW_BLOCK
+from qrmix.groups import ROW_BLOCK
 
 import oracles
 
@@ -114,7 +114,7 @@ def test_conjugation_fixes_class_functions():
 
 
 # ---------------------------------------------------------------------------
-# Koopman rows: one source, the cached matrix (dense table) or the kernel (none)
+# Koopman rows: one source, the group's table (dense) or its kernel (none)
 
 
 @pytest.mark.parametrize("desc", ["sl2:5", "sl2:17"])      # |G| = 120 and 4896
@@ -139,16 +139,16 @@ def test_right_row_after_left_row_is_conjugation_row(desc):
 
 
 @pytest.mark.parametrize("desc, m", [("sl2:5", 1200), ("sl2:17", 30)])
-@pytest.mark.parametrize("kind", ["left", "right", "conjugation"])
-def test_inv_rows_blocks_stack_to_inv_row(desc, m, kind):
-    G = build_group(desc)
-    a = cached_action(G, kind)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_translates_blocks_stack_to_translation_rows(desc, m, side):
+    G = build_group(desc)                             # sl2:5 has a dense table, sl2:17 none
     gs = np.random.default_rng(17).integers(0, G.order, m)
-    blocks = [b.copy() for b in a.inv_rows(gs)]       # each block overwrites the last
+    blocks = [b.copy() for b in G.translates(gs, right=side == "right")]   # each overwrites the last
     B = max(1, ROW_BLOCK // G.order)                  # 546 rows on sl2:5, 13 on sl2:17
     assert [len(b) for b in blocks] == [min(B, m - s) for s in range(0, m, B)]
     assert len(blocks) > 1 and len(blocks[-1]) < B    # a short last block
-    assert np.array_equal(np.concatenate(blocks), np.stack([a.inv_row(g) for g in gs]))
+    rows = [G.mul_vec(int(g)) if side == "left" else G.vec_mul(None, int(g)) for g in gs]
+    assert np.array_equal(np.concatenate(blocks), np.stack(rows))
 
 
 def test_inv_row_of_custom_action():

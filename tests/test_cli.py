@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from qrmix import ExperimentConfig, ConfigError, build_group, character_degrees, emit_plot_data, run_sweep
-from qrmix import mixing_bound_check, sweep
+from qrmix import cli, mixing_bound_check, sweep
 from qrmix.groups import plan
 from qrmix.cli import main
 from qrmix.sweep import RESULT_COLUMNS, write_results
@@ -257,6 +257,14 @@ def test_cli_rejects_invalid_input(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+def test_check_refuses_before_building_the_group(capsys, monkeypatch):
+    def no_group(desc):
+        raise AssertionError("the group was built")
+    monkeypatch.setattr(cli, "build_group", no_group)
+    code, out, err = run_cli(capsys, "recurrence", "-g", "psl2:101", "--trials", "0")
+    assert code == 2 and out == "" and err == "error: trials must be >= 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_exact_mixing_matches_per_g_koopman_average(kind):
 def test_exact_mixing_holds_no_square_temporary(kind):
     G = build_group("sl2:13")
     a = cached_action(G, kind)
-    a.inv_rows_matrix()
+    list(G.translates([0], right=True))     # builds the table's transpose, held by G
     f1, f2 = _pair(a.space, 64)
     tracemalloc.start()
     try:

@@ -25,7 +25,6 @@ from qrmix import (
     triple_recurrence_error,
     vdc_check,
 )
-from qrmix.recurrence import _triple_rows
 
 
 def _real(space, seed):
@@ -227,8 +226,7 @@ def test_correlation_family_abelian_form():
 def _sl2_13_family_inputs():
     # |G| = 2184 = 72 * 30 + 24: the row blocks end in a short one
     G = build_group("sl2:13")
-    for kind in ("left", "conjugation"):
-        cached_action(G, kind).inv_rows_matrix()
+    list(G.translates([0], right=True))     # builds the table's transpose, held by G
     space = cached_action(G, "left").space
     return G, random_observable(space, 84), random_observable(space, 85)
 
@@ -236,8 +234,9 @@ def _sl2_13_family_inputs():
 def test_correlation_family_rows_match_triple_rows():
     G, f2, f3 = _sl2_13_family_inputs()
     E = correlation_family(G, f2, f3).vectors
+    left, conj = cached_action(G, "left"), cached_action(G, "conjugation")
     for g in range(G.order):
-        lrow, crow = _triple_rows(G, g)
+        lrow, crow = left.inv_row(g), conj.inv_row(g)
         assert np.array_equal(E[g], f2.values[lrow] * f3.values[crow])
 
 
@@ -245,6 +244,17 @@ def test_correlation_family_peak_is_the_family():
     G, f2, f3 = _sl2_13_family_inputs()
     family_bytes = G.order * G.order * 16
     assert _peak_bytes(correlation_family, G, f2, f3) < family_bytes * 9 // 8
+
+
+def test_exact_checks_hold_at_most_two_square_index_arrays():
+    G, f2, f3 = _sl2_13_family_inputs()
+    for kind in ("left", "right", "conjugation"):
+        mixing_error(cached_action(G, kind), f2, f3)
+    triple_recurrence_error(G, f2, f3, f2)
+    correlation_family(G, f2, f3)
+    held = [v for obj in (G, *G._action_cache.values()) for v in vars(obj).values()
+            if isinstance(v, np.ndarray) and v.dtype.kind in "iu" and v.size >= G.order ** 2]
+    assert len(held) <= 2      # the table and its transpose
 
 
 def test_gram_identity_trivial_cases():
