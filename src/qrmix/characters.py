@@ -5,6 +5,11 @@ eigenvectors of the class-sum matrices over F_q for a prime
 q = 1 (mod exponent(G)) with q > 2 sqrt(|G|), then each degree is lifted
 from the central-character orthogonality relation
 d^2 * sum_j w(C_j) w(C_j)* / |C_j| = |G| evaluated mod q.
+
+The eigenspaces are split without polynomials: on a space where a class
+matrix R is not scalar, (R + aI)^((q-1)/2) takes the quadratic character of
+lambda + a on each eigenvector, and its 0, 1 and -1 eigenspaces split the
+space for the first a = 0, 1, ... that separates two eigenvalues.
 """
 
 from __future__ import annotations
@@ -71,7 +76,8 @@ def _dixon_prime(exponent, order):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_q (k <= 512, q < 2^31: products fit in int64)
+# linear algebra over F_q: a product mod q sums at most k products of residues,
+# so character_degrees requires k (q - 1)^2 < 2^63
 
 
 def _rref(A, q):
@@ -98,7 +104,7 @@ def _rref(A, q):
 
 
 def _nullspace(A, q):
-    """Rows form a basis (in rref) of the right kernel of A."""
+    """Rows form a basis of the right kernel of A (one per free column, not in rref)."""
     R, pivots = _rref(A, q)
     cols = A.shape[1]
     free = [c for c in range(cols) if c not in pivots]
@@ -107,178 +113,62 @@ def _nullspace(A, q):
         basis[t, c] = 1
         for r, pc in enumerate(pivots):
             basis[t, pc] = (-R[r, c]) % q
-    if len(basis):
-        basis, _ = _rref(basis, q)
     return basis
 
 
-# dense polynomials over F_q, coefficients ascending
-
-
-def _poly_trim(f):
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mul(f, g, q):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % q
-    return _poly_trim(out)
-
-
-def _poly_divmod(f, g, q):
-    f = list(f)
-    dg = len(g) - 1
-    ginv = pow(g[-1], q - 2, q)
-    quo = [0] * max(1, len(f) - dg)
-    while len(f) - 1 >= dg and any(f):
-        shift = len(f) - 1 - dg
-        c = f[-1] * ginv % q
-        quo[shift] = c
-        for i in range(len(g)):
-            f[shift + i] = (f[shift + i] - c * g[i]) % q
-        _poly_trim(f)
-        if len(f) == 1 and f[0] == 0:
-            break
-    return _poly_trim(quo), _poly_trim(f)
-
-
-def _poly_gcd(f, g, q):
-    f, g = list(f), list(g)
-    while not (len(g) == 1 and g[0] == 0):
-        _, r = _poly_divmod(f, g, q)
-        f, g = g, r
-    lead_inv = pow(f[-1], q - 2, q)
-    return [c * lead_inv % q for c in f]
-
-
-def _poly_powmod(base, e, mod, q):
-    result = [1]
-    base = _poly_divmod(base, mod, q)[1]
+def _matpow(A, e, q):
+    """A^e over F_q by repeated squaring."""
+    out = np.eye(len(A), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_divmod(_poly_mul(result, base, q), mod, q)[1]
-        base = _poly_divmod(_poly_mul(base, base, q), mod, q)[1]
+            out = out @ A % q
+        A = A @ A % q
         e >>= 1
-    return result
-
-
-def _poly_deriv(f, q):
-    return _poly_trim([i * c % q for i, c in enumerate(f)][1:] or [0])
-
-
-def _poly_sub(f, g, q):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c % q
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % q
-    return _poly_trim(out)
-
-
-def _is_zero_poly(f):
-    return len(f) == 1 and f[0] == 0
-
-
-def _poly_roots(f, q):
-    """All roots of f in F_q; raises if f does not split completely.
-
-    Deterministic: splits with gcd(f, (x+a)^((q-1)/2) - 1) for a = 0, 1, ...
-    """
-    f = [c % q for c in f]
-    sf = _poly_divmod(f, _poly_gcd(f, _poly_deriv(f, q), q), q)[0]
-    lead_inv = pow(sf[-1], q - 2, q)
-    sf = [c * lead_inv % q for c in sf]
-    # sf splits into distinct linear factors iff x^q = x (mod sf)
-    if len(sf) > 2 and not _is_zero_poly(_poly_sub(_poly_powmod([0, 1], q, sf, q), [0, 1], q)):
-        raise CharacterError("characteristic polynomial does not split over F_%d" % q)
-    roots = []
-    stack = [sf]
-    while stack:
-        g = stack.pop()
-        if len(g) == 1:
-            continue
-        if len(g) == 2:
-            roots.append((-g[0]) * pow(g[1], q - 2, q) % q)
-            continue
-        for a in range(q):
-            h = _poly_sub(_poly_powmod([a, 1], (q - 1) // 2, g, q), [1], q)
-            if _is_zero_poly(h):
-                continue
-            d = _poly_gcd(g, h, q)
-            if 0 < len(d) - 1 < len(g) - 1:
-                stack.append(d)
-                stack.append(_poly_divmod(g, d, q)[0])
-                break
-        else:
-            raise CharacterError("root splitting stalled (implementation bug)")
-    return sorted(roots)
-
-
-def _min_poly(R, q):
-    """Minimal polynomial of R over F_q (squarefree here: commuting semisimple family)."""
-    d = len(R)
-    f = [1]
-    for t in range(d):
-        if len(f) - 1 == d:
-            break
-        # annihilator of e_t via Krylov sequence
-        v = np.zeros(d, dtype=np.int64)
-        v[t] = 1
-        krylov = [v]
-        for _ in range(d):
-            krylov.append(R @ krylov[-1] % q)
-        K = np.array(krylov)
-        ann = None
-        for m in range(1, d + 1):
-            # express K[m] in terms of K[:m] if possible
-            aug = np.concatenate([K[:m].T, K[m][:, None]], axis=1)
-            Rr, piv = _rref(aug, q)
-            if m not in piv:
-                coeffs = np.zeros(m, dtype=np.int64)
-                for r, pc in enumerate(piv):
-                    coeffs[pc] = Rr[r, m]
-                ann = [(-int(c)) % q for c in coeffs] + [1]
-                break
-        if ann is None:
-            ann = [0, 1]  # unreachable for d >= 1
-        g = _poly_gcd(f, ann, q)
-        f = _poly_divmod(_poly_mul(f, ann, q), g, q)[0]
-    return f
+    return out
 
 
 def _split_spaces(mats, q):
-    """Common eigenbasis of a commuting family of k x k matrices over F_q."""
+    """Common eigenbasis of a commuting family of k x k matrices over F_q.
+
+    A space B on which M is not scalar is split by the quadratic character of
+    lambda + a: A = (R + aI)^((q-1)/2), R the restriction of M to B, is 0, 1 or
+    -1 on each eigenvector of R, so the left kernels of A, A - I and A + I
+    split B for the first a = 0, 1, ... that leaves two of them non-empty.
+    """
     k = mats[0].shape[0]
     spaces = [np.eye(k, dtype=np.int64)]
     for M in mats:
         if all(len(B) == 1 for B in spaces):
             break
-        new_spaces = []
-        for B in spaces:
-            if len(B) == 1:
-                new_spaces.append(B)
+        done, todo = [], spaces
+        while todo:
+            B = todo.pop()
+            d = len(B)
+            if d == 1:
+                done.append(B)
                 continue
-            _, piv = _rref(B, q)
             W = B @ M.T % q
-            R = W[:, piv]  # coords in the rref basis (subspace is M-invariant)
+            R = W[:, np.argmax(B != 0, axis=1)]  # coords in B's rows (B is in rref, M-invariant)
             if not np.array_equal(R @ B % q, W):
                 raise CharacterError("subspace not invariant (implementation bug)")
-            roots = _poly_roots(_min_poly(R, q), q)
-            if len(roots) == 1:
-                new_spaces.append(B)
+            eye = np.eye(d, dtype=np.int64)
+            if np.array_equal(R, R[0, 0] * eye):
+                done.append(B)
                 continue
-            for lam in roots:
-                shifted = (R - lam * np.eye(len(R), dtype=np.int64)) % q
-                coords = _nullspace(shifted.T, q)  # left kernel: rows c with c R = lam c
-                sub = coords @ B % q
-                sub, _ = _rref(sub, q)
-                new_spaces.append(sub)
-        spaces = new_spaces
+            for a in range(q):
+                A = _matpow((R + a * eye) % q, (q - 1) // 2, q)
+                # left kernels: rows c with c A = 0, c, -c
+                parts = [_nullspace(((A - s * eye) % q).T, q) for s in (0, 1, -1)]
+                parts = [c for c in parts if len(c)]
+                if sum(len(c) for c in parts) != d:
+                    raise CharacterError("kernels do not span the space: "
+                                         "the class matrix does not split over F_%d" % q)
+                if len(parts) > 1:
+                    todo += [_rref(c @ B % q, q)[0] for c in parts]
+                    break
+            else:
+                raise CharacterError("eigenspace splitting stalled (implementation bug)")
+        spaces = done
     if any(len(B) != 1 for B in spaces):
         raise CharacterError("eigenspace splitting incomplete (implementation bug)")
     return [B[0] for B in spaces]
@@ -299,6 +189,8 @@ def character_degrees(G):
     cc = class_constants(G, C)
     exponent = group_exponent(G, C)
     q = _dixon_prime(exponent, n)
+    if k * (q - 1) ** 2 >= 2**63:
+        raise CharacterError("k (q-1)^2 >= 2^63 at k = %d, q = %d: int64 overflow" % (k, q))
     # M_i[l, j] = a[i, j, l]: multiplication by class sum i on class-sum coordinates
     mats = [cc.a[i].T % q for i in range(k)]
     vectors = _split_spaces(mats, q)

@@ -98,19 +98,23 @@ def mixing_bound_check(G, kind, trials, seed, mc_samples=2000, exact_max_order=E
     return reports
 
 
-def reduction_identity_check(a, f1, f2, g):
+def reduction_identity_check(a, f1, f2, gs):
     """Both sides of <f1, g.f2>_X = int_X <f1^(x), g.r f2^(x)>_G dnu(x).
 
     The right side builds the fiber observables f^(x)(h) = f(h^-1 . x)
-    explicitly and pairs them under the right translation, an independent
-    code path from the left side.
+    explicitly, once per call, and pairs them under the right translation,
+    an independent code path from the left side.  Returns (lhs, rhs,
+    discrepancy) for one g, and a list of them when gs is a sequence.
     """
     G = a.group
-    lhs = inner(a.space, f1, koopman_apply(a, g, f2))
     M = a.inv_rows_matrix()           # M[h, x] = h^-1 . x
     F1 = f1.values[M]                 # column x is the fiber f1^(x) on G
     F2 = f2.values[M]
-    sigma = G.vec_mul(None, int(g))   # h -> hg
-    T = F1 * np.conj(F2[sigma]) * a.space.weights[None, :]
-    rhs = complex(T.sum()) / G.order
-    return lhs, rhs, abs(lhs - rhs)
+    out = []
+    for g in np.atleast_1d(gs).tolist():
+        lhs = inner(a.space, f1, koopman_apply(a, g, f2))
+        sigma = G.vec_mul(None, g)    # h -> hg
+        T = F1 * np.conj(F2[sigma]) * a.space.weights[None, :]
+        rhs = complex(T.sum()) / G.order
+        out.append((lhs, rhs, abs(lhs - rhs)))
+    return out if np.ndim(gs) else out[0]

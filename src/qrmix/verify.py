@@ -302,7 +302,7 @@ def crit_reduction(groups, master=0, inflate=0, build=build_group):
                 seed = derive_seed(master, "reduction", desc, kind, t)
                 f1 = random_observable(space, derive_seed(seed, "f1"))
                 f2 = random_observable(space, derive_seed(seed, "f2"))
-                worst = max(reduction_identity_check(a, f1, f2, g)[2] for g in range(G.order))
+                worst = max(disc for _, _, disc in reduction_identity_check(a, f1, f2, range(G.order)))
                 checks.append(Check("reduction_identity", desc, kind, t, measured=worst))
         records += checks
         rows.append(_worst("reduction_identity", desc, checks))

@@ -5,12 +5,26 @@ enumeration, dense float linear algebra) without touching the package's own
 algorithms beyond the element-index interface.
 """
 
+import importlib.util
 import itertools
 import math
+import os
 
 import numpy as np
 
 from qrmix import conjugacy_classes
+
+
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded read-only by path (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  os.path.join(_PERFBENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def sl2_elements(p):
@@ -100,6 +114,14 @@ def degrees_by_eigen_multiplicity(G, seed=12345):
         degrees.append(d)
         i = j
     return tuple(sorted(degrees))
+
+
+def dihedral_degrees(n):
+    """Degrees of the dihedral group of order 2n: for n odd, 2 ones and
+    (n - 1)/2 twos; for n even, 4 ones and (n - 2)/2 twos."""
+    if n % 2:
+        return (1,) * 2 + (2,) * ((n - 1) // 2)
+    return (1,) * 4 + (2,) * ((n - 2) // 2)
 
 
 def exponent_by_element_orders(G):

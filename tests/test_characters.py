@@ -12,8 +12,11 @@ from qrmix import (
     group_exponent,
     quasirandom_degree,
 )
+from qrmix import characters
 
 import oracles
+
+closed_forms = oracles.perfbench_module("oracles")
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +63,40 @@ def test_degree_invariants_across_suite():
         assert deg[0] == 1
         assert all(G.order % d == 0 for d in deg)   # degree divides order
         assert list(deg) == sorted(deg)
+
+
+_ODD_PRIMES = [p for p in range(3, 102, 2) if all(p % r for r in range(3, math.isqrt(p) + 1, 2))]
+_FULL_RANGE = ([pytest.param("sl2:%d" % p, marks=pytest.mark.slow) if p > 61 else "sl2:%d" % p
+                for p in _ODD_PRIMES]
+               + ["psl2:%d" % p for p in _ODD_PRIMES]
+               + ["symmetric:%d" % n for n in range(1, 9)])
+
+
+@pytest.mark.parametrize("desc", _FULL_RANGE)
+def test_degrees_match_closed_form_over_full_range(desc):
+    # closed forms: Fulton-Harris for SL(2,p) and PSL(2,p), hook lengths for S_n
+    want = closed_forms.degrees(closed_forms.parse(desc))
+    G = build_group(desc)
+    assert list(character_degrees(G).degrees) == want
+    assert quasirandom_degree(G) == (want[1] if len(want) > 1 else math.inf)
+
+
+@pytest.mark.parametrize("n", [9, 200])
+def test_dihedral_degrees_match_closed_form(n):
+    assert character_degrees(build_group("dihedral:%d" % n)).degrees == oracles.dihedral_degrees(n)
+
+
+def test_split_refuses_matrix_that_does_not_split():
+    # x^2 + 1, the characteristic polynomial, has no root mod 3
+    with pytest.raises(CharacterError, match="does not split"):
+        characters._split_spaces([np.array([[0, 2], [1, 0]], dtype=np.int64)], 3)
+
+
+def test_degrees_refuse_prime_that_overflows_int64(monkeypatch):
+    # k (q - 1)^2 >= 2^63 for k = 3 classes and q = 2^31 - 1
+    monkeypatch.setattr(characters, "_dixon_prime", lambda exponent, order: 2**31 - 1)
+    with pytest.raises(CharacterError, match="int64"):
+        character_degrees(build_group("symmetric:3"))
 
 
 def test_abelian_degrees_all_one():

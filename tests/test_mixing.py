@@ -207,3 +207,14 @@ def test_reduction_identity_exhaustive(desc, kind):
     f1, f2 = _pair(a.space, 51)
     for g in range(G.order):
         assert reduction_identity_check(a, f1, f2, g)[2] <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["conjugation", "left"])
+def test_reduction_identity_sequence_matches_single_g(kind):
+    # one call over a sequence of g gives each g's triple, bit for bit
+    G = build_group("symmetric:4")
+    a = cached_action(G, kind)
+    f1, f2 = _pair(a.space, 52)
+    gs = [0, 5, 17, 23, 5]
+    assert reduction_identity_check(a, f1, f2, gs) == \
+        [reduction_identity_check(a, f1, f2, g) for g in gs]

@@ -2,23 +2,12 @@
 every name it lists must exist in the package."""
 
 import importlib
-import importlib.util
-import os
 
 import pytest
 
-_TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracer.py")
+import oracles
 
-
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracer = _tracer()
+tracer = oracles.perfbench_module("tracer")
 
 
 @pytest.mark.parametrize("module, name", tracer.FUNCTIONS, ids=[".".join(f) for f in tracer.FUNCTIONS])
