@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ORDER = 2_000_000
-DENSE_LIMIT = 4096          # largest order with a dense table, exact mixing and correlation family
+DENSE_LIMIT = 4096          # dense table, exact mixing and every-g vdc integral up to this order
 ROW_BLOCK = 1 << 16         # elements per block of translates and gather_blocks
 EXACT_MAX_ORDER = 3000      # default largest order that mixing and recurrence average exactly
 VDC_EXACT_MAX = 512         # largest order whose van der Corput Gram matrix is formed
@@ -569,15 +569,10 @@ def check_samples(experiment, samples, name="samples"):
 
 
 def plan(experiment, desc, order, samples=None, seed=0, exact_max_order=EXACT_MAX_ORDER):
-    """None if experiment ("mixing", "recurrence", "vdc", or "family": the
-    correlation family vdc reads) averages over every g of the group desc of
-    order |G|, else the number of seeded g it samples; a ValueError naming the
-    input at fault if it cannot run."""
-    if experiment in ("vdc", "family") and order > DENSE_LIMIT:
-        raise ValueError("%s needs |G| <= %d for the |G| x |G| correlation family, and %s has "
-                         "order %d" % ("experiments: vdc" if experiment == "vdc" else
-                                       "correlation_family", DENSE_LIMIT, desc, order))
-    if experiment == "family" or order <= (VDC_EXACT_MAX if experiment == "vdc" else exact_max_order):
+    """None if experiment ("mixing", "recurrence" or "vdc") averages over
+    every g of the group desc of order |G|, else the number of seeded g it
+    samples; a ValueError naming the input at fault if it cannot run."""
+    if order <= (VDC_EXACT_MAX if experiment == "vdc" else exact_max_order):
         if experiment == "mixing" and order > DENSE_LIMIT:   # exact mixing gathers from the table
             raise ValueError("exact_max_order %d asks for exact mixing on %s (|G| = %d), "
                              "which needs |G| <= %d" % (exact_max_order, desc, order, DENSE_LIMIT))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .actions import SpaceMismatchError, cached_action, gather_blocks, inner, invariant_projection
 from .characters import quasirandom_degree
-from .groups import PASS_TOL, ROW_BLOCK, plan
+from .groups import DENSE_LIMIT, PASS_TOL, ROW_BLOCK, plan
 
 IDENTITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -54,8 +54,45 @@ class VectorFamily:
     """A G-indexed family of observables e_g on a common space."""
     group: object
     space: object
-    vectors: np.ndarray       # row g = values of e_g
+    vectors: object           # row g = values of e_g: an array, or CorrelationRows
     l2_bound: float           # recorded sup_g ||e_g||_2 upper bound
+
+
+class CorrelationRows:
+    """The rows e_g(x) = f2(g^-1 x) f3(g^-1 x g) of a correlation family,
+    computed from the group's translates when read: no |G| x |G| array is held.
+
+    rows[g] is row g, rows[gs] the stacked rows for an array gs, rows.take
+    reads them as ndarray.take does, and np.asarray(rows) is every row.  Row
+    g is f2[L] f3[R[L]], with L the row x -> g^-1 x and R the row y -> yg.
+    """
+
+    dtype, nbytes = np.dtype(np.complex128), 0
+
+    def __init__(self, G, v2, v3):
+        self.group, self._v2, self._v3 = G, v2, v3
+        self.shape = (G.order, G.order)
+
+    def take(self, gs, axis=0, out=None, mode="raise"):
+        """The rows gs, into out when given.  axis and mode complete
+        ndarray.take's signature: rows are taken along axis 0, and every g
+        must be in range."""
+        G, gs = self.group, np.asarray(gs)
+        flat = gs.reshape(-1)
+        if out is None:
+            out = np.empty(gs.shape + (G.order,), dtype=np.complex128)
+        rows, s = out.reshape(-1, G.order), 0
+        for L, R in zip(G.translates(G.inv[flat]), G.translates(flat, right=True)):
+            block = np.take(self._v2, L, out=rows[s:s + len(L)], mode="clip")
+            block *= self._v3[np.take_along_axis(R, L, axis=1)]
+            s += len(L)
+        return out
+
+    __getitem__ = take
+
+    def __array__(self, dtype=None, copy=None):
+        E = self.take(np.arange(self.shape[0]))
+        return E if dtype is None else E.astype(dtype, copy=False)
 
 
 @dataclass
@@ -185,19 +222,12 @@ def case_decomposition(G, f1, f2, f3, mode="exact", samples=None, seed=None):
 
 
 def correlation_family(G, f2, f3):
-    """e_g(x) = f2(g^-1 x) f3(g^-1 x g) for every g, as a dense |G| x |G|
-    array: refused before it is allocated on groups without a dense table.
-    Row g is f2[L] f3[R[L]], with L the row x -> g^-1 x and R the row y -> yg."""
+    """The family e_g(x) = f2(g^-1 x) f3(g^-1 x g), one e_g per g of G, with
+    its rows computed when read (CorrelationRows): on any group, of any order,
+    it holds no |G| x |G| array."""
     _check_space(G, f2, "f2")
     _check_space(G, f3, "f3")
-    n = G.order
-    plan("family", G.desc, n)
-    E = np.empty((n, n), dtype=np.complex128)
-    s = 0
-    for L, R in zip(G.translates(G.inv), G.translates(np.arange(n), right=True)):
-        np.multiply(f2.values[L], f3.values[np.take_along_axis(R, L, axis=1)], out=E[s:s + len(L)])
-        s += len(L)
-    return VectorFamily(group=G, space=f2.space, vectors=E,
+    return VectorFamily(group=G, space=f2.space, vectors=CorrelationRows(G, f2.values, f3.values),
                         l2_bound=f2.norm_inf * f3.norm_inf)
 
 
@@ -223,41 +253,56 @@ def gram_identity_check(G, f2, f3, g, h):
     return GramCheck(lhs=lhs, rhs=rhs, discrepancy=abs(lhs - rhs))
 
 
+def _row_blocks(E, gs):
+    """The rows E[g], g in gs, in blocks of max(1, ROW_BLOCK // |G|) rows, each
+    a view of one buffer that the next block overwrites: the one way
+    vdc_check reads a family, stored (an ndarray) or computed."""
+    B = max(1, ROW_BLOCK // E.shape[1])
+    buf = np.empty((min(B, len(gs)), E.shape[1]), dtype=E.dtype)
+    for s in range(0, len(gs), B):
+        block = gs[s:s + B]
+        # mode="clip": the default "raise" copies out first; indices are in range
+        yield E.take(block, axis=0, out=buf[:len(block)], mode="clip")
+
+
 def vdc_check(family, f, samples=None, seed=None):
     """Quantitative van der Corput: avg_g |<f, e_g>| <= sqrt(eps) ||f||_2
     with eps = avg_{g,h} |<e_g, e_gh>|.
 
-    Exact for |G| <= 512; above that a seeded (g, h) sample estimates the
-    double average (the inner products stay exact).  Beside the family it
-    holds O(|G|) values and, when sampled, O(samples) indices and two reused
-    blocks of rows, about 2^16 complex values each; the exact branch adds
-    the Gram matrix and a weighted copy of the family, at most 4 MiB each.
+    Exact for |G| <= 512, where the family is materialised for its Gram
+    matrix (at most 4 MiB).  Above that a seeded (g, h) sample estimates
+    eps (the inner products stay exact), and the left side averages every g
+    up to |G| = DENSE_LIMIT, the sampled g above.  Rows are read in reused
+    blocks of about 2^16 values: beside O(|G|) values and O(samples) indices
+    the check holds a few blocks, however large the group or the sample.
     """
     G = family.group
     if f.space.size != family.space.size:
         raise SpaceMismatchError("f must live on the family's space")
     n = G.order
     E, w = family.vectors, family.space.weights
-    corr = np.abs(E @ (np.conj(f.values) * w))  # |conj <f, e_g>|
-    rhs_integral = math.fsum(corr) / n
+    u = np.conj(f.values) * w
     samples = plan("vdc", G.desc, n, samples, seed)
+    every_g = samples is None or n <= DENSE_LIMIT
+    # |conj <f, e_g>| for every g, or else for the sampled g in the loop below
+    corr = [np.abs(rows @ u) for rows in _row_blocks(E, np.arange(n))] if every_g else []
     if samples is None:
+        E = np.asarray(E)
         gram = (E * w) @ np.conj(E.T)       # gram[g, h'] = <e_g, e_h'>
         epsilon_lhs = float(np.abs(np.take_along_axis(gram, G.table, axis=1)).sum()) / (n * n)
     else:
         rng = np.random.default_rng(seed)
         gs = rng.integers(0, n, samples)
         hs = rng.integers(0, n, samples)
-        ghs = G.mul_pairs(gs, hs)
-        B = max(1, ROW_BLOCK // n)
-        vals, (A, C) = np.empty(samples), np.empty((2, min(B, samples), n), dtype=np.complex128)
-        for s in range(0, samples, B):     # the rows of e_g w conj(e_gh), B pairs at a time
-            g, gh = gs[s:s + B], ghs[s:s + B]
-            a, c = A[:len(g)], C[:len(g)]
-            np.multiply(np.take(E, g, axis=0, out=a, mode="clip"), w, out=a)
-            np.conj(np.take(E, gh, axis=0, out=c, mode="clip"), out=c)
-            vals[s:s + B] = np.abs(np.sum(np.multiply(a, c, out=a), axis=1))
-        epsilon_lhs = math.fsum(vals) / samples
+        vals = []
+        for a, c in zip(_row_blocks(E, gs), _row_blocks(E, G.mul_pairs(gs, hs))):
+            if not every_g:
+                corr.append(np.abs(a @ u))
+            np.multiply(a, w, out=a)        # the rows of e_g w conj(e_gh)
+            vals.append(np.abs(np.sum(np.multiply(a, np.conj(c, out=c), out=a), axis=1)))
+        epsilon_lhs = math.fsum(np.concatenate(vals)) / samples
+    corr = np.concatenate(corr)
+    rhs_integral = math.fsum(corr) / len(corr)
     bound = math.sqrt(epsilon_lhs) * f.norm2
     return VdcResult(epsilon_lhs=epsilon_lhs, rhs_integral=rhs_integral, bound=bound,
                      mode="exact" if samples is None else "monte_carlo")

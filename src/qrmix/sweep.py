@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .actions import BUILT_IN, ProbabilitySpace, random_observable
-from .characters import character_degrees, quasirandom_degree
+from .characters import CharacterError, character_degrees, quasirandom_degree
 from .groups import (EXACT_MAX_ORDER, GroupConstructionError, build_group, canonical_descriptor,
                      check_samples, conjugacy_classes, group_order, plan)
 from .mixing import mixing_bound_check
@@ -215,11 +215,12 @@ def run_sweep(cfg):
     for desc in cfg.groups:
         try:
             G = build_group(desc)
-        except GroupConstructionError as exc:
+            rows, entry = sweep_group(cfg, G)
+            entry["D"] = quasirandom_degree(G)
+        except (GroupConstructionError, CharacterError) as exc:
             groups_summary[desc] = {"error": str(exc)}
             continue
-        rows, groups_summary[desc] = sweep_group(cfg, G)
-        groups_summary[desc]["D"] = quasirandom_degree(G)
+        groups_summary[desc] = entry
         all_rows.extend(rows)
     all_pass = all(r["pass"] != "false" for r in all_rows) and \
         all(s.get("error") is None for s in groups_summary.values())

@@ -107,6 +107,14 @@ def test_vdc_sampled_needs_no_degrees(capsys):
     assert code == 0 and len(_parse_csv(out)) == 1
 
 
+def test_vdc_samples_above_the_dense_limit(capsys):
+    # |G| = 4896: no dense table, and no |G| x |G| family either
+    code, out, _ = run_cli(capsys, "vdc", "-g", "sl2:17", "--trials", "1", "--mc", "30")
+    rows = _parse_csv(out)
+    assert code == 0 and len(rows) == 1 and rows[0]["order"] == "4896"
+    assert float(rows[0]["measured_total"]) <= float(rows[0]["bound_total"])
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -204,17 +212,31 @@ def test_sweep_keys_on_canonical_descriptor(tmp_path, capsys):
     assert b"sl2:05" not in outputs[0][0] + outputs[0][1]
 
 
-def test_sweep_refuses_oversized_vdc_before_any_work(tmp_path, capsys, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the sweep started")
-    for name in ("build_group", "sweep_group", "mixing_bound_check", "vdc_trial"):
-        monkeypatch.setattr(sweep, name, no_work)
-    # |G| = 4896 for sl2:17, above the dense limit; sl2:5 comes first
-    cfg = _config(tmp_path, groups=["sl2:5", "sl2:17"], experiments=["mixing", "vdc"])
+def test_sweep_runs_vdc_above_the_dense_limit(tmp_path, capsys):
+    # sl2:17 (|G| = 4896) has no dense table; vdc samples its (g, h) pairs
+    cfg = _config(tmp_path, groups=["sl2:5", "sl2:17"], experiments=["vdc"], trials=1,
+                  mc_samples=30)
+    code, _, _ = run_cli(capsys, "sweep", "--config", cfg)
+    assert code == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+    assert [(r["group"], r["experiment"], r["pass"]) for r in rows] == [
+        ("sl2:5", "vdc", "true"), ("sl2:17", "vdc", "true")]
+
+
+def test_sweep_reports_character_error_as_the_groups_error(tmp_path, capsys):
+    # cyclic:1000 has 1000 classes, past the degree computation's range
+    cfg = _config(tmp_path, groups=["sl2:13", "cyclic:1000"],
+                  experiments=["mixing", "recurrence"], trials=1)
     code, out, err = run_cli(capsys, "sweep", "--config", cfg)
-    assert code == 2 and out == ""
-    assert err.startswith("error: experiments: vdc ") and "sl2:17" in err
-    assert not (tmp_path / "out").exists()
+    assert code == 1 and err == ""
+    rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+    assert [(r["group"], r["experiment"]) for r in rows] == [("sl2:13", "mixing")] * 3 + [
+        ("sl2:13", "recurrence")]
+    assert all(r["pass"] == "true" for r in rows)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["groups"]["sl2:13"]["error"] is None
+    assert "1000" in summary["groups"]["cyclic:1000"]["error"]
+    assert summary["all_pass"] is False
 
 
 @pytest.mark.parametrize("desc, exact", [("product:sl2:5,symmetric:4", True),   # |G| = 2880
@@ -246,8 +268,6 @@ def test_sweep_rejects_non_object_config(tmp_path, capsys):
     ("verify", "--profile", "quick", "--inflate-d", "-1"),
     ("verify", "--profile", "quick", "--seed", "-1"),
     ("mixing", "-g", "cyclic:5", "--seed", "-1"),
-    # |G| = 4896 is above the dense limit: refused before the |G|^2 family
-    ("vdc", "-g", "sl2:17", "--trials", "1"),
     # sample counts above the ceiling: refused before any O(samples) array
     ("recurrence", "-g", "sl2:37", "--trials", "1", "--mc", "1000000000000"),
     ("vdc", "-g", "sl2:13", "--trials", "1", "--mc", "100000000"),

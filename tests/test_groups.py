@@ -286,15 +286,13 @@ def test_labels_are_distinct():
     ("mixing", 3000, 3000, None), ("mixing", 3001, 3000, 200),
     ("recurrence", 3000, 3000, None), ("recurrence", 3001, 3000, 200),
     ("mixing", 4096, 6000, None), ("mixing", 4097, 3000, 200),
-    ("recurrence", 4097, 6000, None), ("family", 4096, 3000, None),
+    ("recurrence", 4097, 6000, None), ("vdc", 4097, 3000, 200), ("vdc", 2_000_000, 3000, 200),
 ])
 def test_plan_edges(experiment, order, exact_max_order, expected):
     assert plan(experiment, "g", order, 200, 0, exact_max_order) == expected
 
 
 @pytest.mark.parametrize("experiment, order, exact_max_order, samples, seed, message", [
-    ("vdc", 4097, 3000, 200, 0, "experiments: vdc needs |G| <= 4096"),
-    ("family", 4097, 3000, None, None, "correlation_family needs |G| <= 4096"),
     ("mixing", 4097, 6000, 200, 0, "exact_max_order 6000 asks for exact mixing on g"),
     ("vdc", 513, 3000, None, 0, "vdc on g (|G| = 513) samples g, and needs samples"),
     ("recurrence", 3001, 3000, 200, None, "recurrence on g (|G| = 3001) samples g"),

@@ -370,11 +370,58 @@ def test_sampled_vdc_holds_no_square_temporary():
         assert _peak_bytes(vdc_check, fam, f, samples=samples, seed=5) < G.order * G.order * 8
 
 
-def test_correlation_family_refused_without_dense_table():
-    G = build_group("sl2:17")          # |G| = 4896, above the dense limit
+def test_vdc_on_computed_rows_holds_no_family():
+    G, f2, f3 = _sl2_13_family_inputs()
+    f = random_observable(f2.space, 86)
+    peak = _peak_bytes(lambda: vdc_check(correlation_family(G, f2, f3), f, samples=256, seed=6))
+    assert peak < G.order * G.order * 16 // 8
+
+
+def test_sampled_vdc_reads_stored_and_computed_rows_alike():
+    G = build_group("sl2:11")          # 1320 > VDC_EXACT_MAX: sampled (g, h) pairs
     space = ProbabilitySpace.uniform(G.order)
-    with pytest.raises(ValueError, match="^correlation_family needs .* sl2:17 has order 4896"):
-        correlation_family(G, random_observable(space, 1), random_observable(space, 2))
+    fam = correlation_family(G, random_observable(space, 101), random_observable(space, 102))
+    stored = VectorFamily(group=G, space=space, vectors=np.asarray(fam.vectors), l2_bound=1.0)
+    f = random_observable(space, 103)
+    assert vdc_check(fam, f, samples=300, seed=2) == vdc_check(stored, f, samples=300, seed=2)
+
+
+def _literal_family_row(G, f2, f3, g):
+    """f2(g^-1 x) f3(g^-1 x g) for every x, its indices one G.mul at a time."""
+    gi = int(G.inv[g])
+    left = [G.mul(gi, x) for x in range(G.order)]
+    return f2.values[left] * f3.values[[G.mul(y, int(g)) for y in left]]
+
+
+def test_correlation_family_rows_without_dense_table():
+    G = build_group("sl2:17")          # |G| = 4896, above the dense limit: no table
+    assert G.table is None
+    space = ProbabilitySpace.uniform(G.order)
+    f2, f3 = random_observable(space, 1), random_observable(space, 2)
+    fam = correlation_family(G, f2, f3)
+    assert fam.vectors.shape == (G.order, G.order) and fam.vectors.nbytes == 0
+    gs = np.array([0, 1, 2500, G.order - 1])
+    for g, row in zip(gs, fam.vectors[gs]):
+        assert np.array_equal(fam.vectors[g], _literal_family_row(G, f2, f3, g))
+        assert np.array_equal(row, fam.vectors[g])
+    G = build_group("symmetric:3")
+    space = ProbabilitySpace.uniform(6)
+    f2, f3 = random_observable(space, 3), random_observable(space, 4)
+    want = [_literal_family_row(G, f2, f3, g) for g in range(6)]
+    assert np.array_equal(np.asarray(correlation_family(G, f2, f3).vectors), want)
+
+
+def test_vdc_above_dense_limit_averages_the_sampled_g():
+    G = build_group("sl2:17")
+    space = ProbabilitySpace.uniform(G.order)
+    f2, f3, f = (random_observable(space, s) for s in (5, 6, 7))
+    res = vdc_check(correlation_family(G, f2, f3), f, samples=20, seed=8)
+    gs = np.random.default_rng(8).integers(0, G.order, 20)    # the g of the (g, h) pairs
+    # rows as test_correlation_family_rows_without_dense_table checks them
+    rows = correlation_family(G, f2, f3).vectors[gs]
+    corr = [abs(np.sum(f.values * np.conj(row))) / G.order for row in rows]
+    assert res.mode == "monte_carlo" and res.passed
+    assert res.rhs_integral == pytest.approx(math.fsum(corr) / 20, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("samples", [0, -1])
