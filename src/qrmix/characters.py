@@ -6,10 +6,14 @@ q = 1 (mod exponent(G)) with q > 2 sqrt(|G|), then each degree is lifted
 from the central-character orthogonality relation
 d^2 * sum_j w(C_j) w(C_j)* / |C_j| = |G| evaluated mod q.
 
-The eigenspaces are split without polynomials: on a space where a class
-matrix R is not scalar, (R + aI)^((q-1)/2) takes the quadratic character of
-lambda + a on each eigenvector, and its 0, 1 and -1 eigenspaces split the
-space for the first a = 0, 1, ... that separates two eigenvalues.
+The class matrices are built lazily, one group row each, and only as many
+as the split reads before every eigenspace is a line.  The eigenspaces are
+split without polynomials: on a space where a class matrix R is not scalar,
+(R + aI)^((q-1)/2) takes the quadratic character of lambda + a on each
+eigenvector, and its 0, 1 and -1 eigenspaces split the space for the first
+a = 0, 1, ... that separates two eigenvalues.  Each common eigenvector is
+proportional to a character's central idempotent, so the central character
+w is read off the vector itself.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from .groups import _is_prime, conjugacy_classes
 
 PRIME_SEARCH_LIMIT = 2**31
+MAX_CLASSES = 512
 
 
 class CharacterError(RuntimeError):
@@ -40,29 +45,50 @@ class DegreeMultiset:
     group_order: int
 
 
+def check_class_count(k):
+    """k, if character_degrees takes a group of k conjugacy classes."""
+    if k > MAX_CLASSES:
+        raise CharacterError("class count %d exceeds %d" % (k, MAX_CLASSES))
+    return k
+
+
+def class_matrix(G, C, i):
+    """M_i[l, j] = a[i, j, l], multiplication by class sum i on class-sum
+    coordinates, as exact integers.  |C_l| a[i, j, l] counts the pairs
+    (x, y) in C_i x C_j with xy in C_l, which is |C_i| #{y in C_j : x_i y in C_l}
+    for the representative x_i: one row of the group."""
+    k = C.k
+    row = G.mul_vec(C.representatives[i])
+    counts = np.bincount(C.class_of * k + C.class_of[row], minlength=k * k).reshape(k, k)
+    num = C.class_sizes[i] * counts.T                 # [l, j]
+    sizes = np.asarray(C.class_sizes)[:, None]
+    if np.any(num % sizes):
+        raise CharacterError("class %d's structure constants are not integers "
+                             "(the table is not a group)" % i)
+    return num // sizes
+
+
 def class_constants(G, C=None):
     """Exact integer structure constants of the class algebra."""
     C = C if C is not None else conjugacy_classes(G)
-    k = C.k
-    n = G.order
-    xs = np.arange(n, dtype=np.int64)
-    ci = C.class_of[xs]
-    a = np.zeros((k, k, k), dtype=np.int64)
-    for l in range(k):
-        z = C.representatives[l]
-        # xy = z  <=>  y = x^-1 z
-        cj = C.class_of[G.vec_mul(None, z)[G.inv]]
-        a[:, :, l] = np.bincount(ci * k + cj, minlength=k * k).reshape(k, k)
-    return ClassConstants(k=k, a=a)
+    return ClassConstants(k=C.k, a=np.stack([class_matrix(G, C, i).T for i in range(C.k)]))
 
 
 def group_exponent(G, C=None):
-    """lcm of element orders (orders are class functions, so reps suffice)."""
+    """lcm of element orders (orders are class functions, so reps suffice),
+    every representative raised to its next power by one mul_pairs."""
     C = C if C is not None else conjugacy_classes(G)
-    exp = 1
-    for r in C.representatives:
-        exp = math.lcm(exp, G.element_order(r))
-    return exp
+    reps = np.asarray(C.representatives)
+    x, exp = reps, 1
+    for power in range(1, G.order + 1):
+        done = x == G.identity
+        if done.any():
+            exp = math.lcm(exp, power)
+            reps, x = reps[~done], x[~done]
+            if not len(reps):
+                return exp
+        x = G.mul_pairs(x, reps)
+    raise CharacterError("a representative's powers miss the identity (the table is not a group)")
 
 
 def _dixon_prime(exponent, order):
@@ -128,18 +154,19 @@ def _matpow(A, e, q):
 
 
 def _split_spaces(mats, q):
-    """Common eigenbasis of a commuting family of k x k matrices over F_q.
+    """Common eigenbasis of a commuting family of k x k matrices over F_q,
+    reading the iterable mats only until every space is a line.
 
     A space B on which M is not scalar is split by the quadratic character of
     lambda + a: A = (R + aI)^((q-1)/2), R the restriction of M to B, is 0, 1 or
     -1 on each eigenvector of R, so the left kernels of A, A - I and A + I
     split B for the first a = 0, 1, ... that leaves two of them non-empty.
+    An A of 0, I or -I has one of them all of B, and is passed over unsolved.
     """
-    k = mats[0].shape[0]
-    spaces = [np.eye(k, dtype=np.int64)]
+    spaces = None
     for M in mats:
-        if all(len(B) == 1 for B in spaces):
-            break
+        if spaces is None:
+            spaces = [np.eye(len(M), dtype=np.int64)]
         done, todo = [], spaces
         while todo:
             B = todo.pop()
@@ -157,6 +184,8 @@ def _split_spaces(mats, q):
                 continue
             for a in range(q):
                 A = _matpow((R + a * eye) % q, (q - 1) // 2, q)
+                if A[0, 0] in (0, 1, q - 1) and np.array_equal(A, A[0, 0] * eye):
+                    continue
                 # left kernels: rows c with c A = 0, c, -c
                 parts = [_nullspace(((A - s * eye) % q).T, q) for s in (0, 1, -1)]
                 parts = [c for c in parts if len(c)]
@@ -169,7 +198,9 @@ def _split_spaces(mats, q):
             else:
                 raise CharacterError("eigenspace splitting stalled (implementation bug)")
         spaces = done
-    if any(len(B) != 1 for B in spaces):
+        if all(len(B) == 1 for B in spaces):
+            break
+    if spaces is None or any(len(B) != 1 for B in spaces):
         raise CharacterError("eigenspace splitting incomplete (implementation bug)")
     return [B[0] for B in spaces]
 
@@ -183,28 +214,23 @@ def character_degrees(G):
         G._degrees = DegreeMultiset(degrees=(1,), group_order=1)
         return G._degrees
     C = conjugacy_classes(G)
-    k = C.k
-    if k > 512:
-        raise CharacterError("class count %d exceeds 512" % k)
-    cc = class_constants(G, C)
+    k = check_class_count(C.k)
     exponent = group_exponent(G, C)
     q = _dixon_prime(exponent, n)
     if k * (q - 1) ** 2 >= 2**63:
         raise CharacterError("k (q-1)^2 >= 2^63 at k = %d, q = %d: int64 overflow" % (k, q))
-    # M_i[l, j] = a[i, j, l]: multiplication by class sum i on class-sum coordinates
-    mats = [cc.a[i].T % q for i in range(k)]
-    vectors = _split_spaces(mats, q)
-    inv_class = [int(C.class_of[G.inv[r]]) for r in C.representatives]
-    size_inv = [pow(s, q - 2, q) for s in C.class_sizes]
+    e = int(C.class_of[G.identity])     # its class matrix is I, which splits nothing
+    vectors = _split_spaces((class_matrix(G, C, i) % q for i in range(k) if i != e), q)
+    inv_class = C.class_of[G.inv[C.representatives]]
+    sizes = np.asarray(C.class_sizes, dtype=np.int64) % q
+    size_inv = np.array([pow(int(s), q - 2, q) for s in sizes], dtype=np.int64)
     degrees = []
     cap = math.isqrt(n)
     for v in vectors:
-        pivot = int(np.nonzero(v)[0][0])
-        piv_inv = pow(int(v[pivot]), q - 2, q)
-        omega = [int(M[pivot] @ v % q) * piv_inv % q for M in mats]
-        s = 0
-        for i in range(k):
-            s = (s + omega[i] * omega[inv_class[i]] % q * size_inv[i]) % q
+        # v_l is proportional to chi(z_l^-1), chi's central idempotent, so
+        # w_i = |C_i| chi(z_i) / chi(1) = |C_i| v[inv(i)] / v[e]
+        omega = sizes * v[inv_class] % q * pow(int(v[e]), q - 2, q) % q
+        s = int(np.sum(omega * omega[inv_class] % q * size_inv % q) % q)
         if s == 0:
             raise CharacterError("degenerate orthogonality sum (implementation bug)")
         d2 = n % q * pow(s, q - 2, q) % q

@@ -12,8 +12,8 @@ import json
 import os
 import sys
 
-from .characters import CharacterError, character_degrees, quasirandom_degree
-from .groups import GroupConstructionError, build_group, conjugacy_classes
+from .characters import CharacterError, character_degrees, check_class_count, quasirandom_degree
+from .groups import GroupConstructionError, build_group, class_count, conjugacy_classes
 from .sweep import (BUILT_IN, PLOT_COLUMNS, ConfigError, ExperimentConfig, _jsonable,
                     emit_plot_data, run_sweep, sweep_group, write_csv)
 from .verify import PROFILES, run_verify
@@ -31,6 +31,7 @@ RENAMED = {"bound_total": "bound", "measured_total": "measured"}  # subcommand -
 
 
 def cmd_degrees(args):
+    check_class_count(class_count(args.group))
     G = build_group(args.group)
     deg = character_degrees(G)
     out = {
@@ -46,10 +47,13 @@ def cmd_degrees(args):
 
 def cmd_check(args):
     """mixing, recurrence, vdc: a one-group sweep of that experiment, its rows
-    renamed onto the subcommand's CSV schema."""
+    renamed onto the subcommand's CSV schema.  Mixing and recurrence need D,
+    so they refuse a group with too many classes before building it."""
     cfg = ExperimentConfig(groups=[args.group], experiments=[args.command], trials=args.trials,
                            master_seed=args.seed, actions=[getattr(args, "action", "left")],
                            mc_samples=args.mc)
+    if args.command != "vdc":
+        check_class_count(class_count(cfg.groups[0]))
     rows, _ = sweep_group(cfg, build_group(cfg.groups[0]))   # the group once its inputs pass
     columns = COLUMNS[args.command]
     out = [{c: row[RENAMED.get(c, c)] for c in columns} for row in rows]

@@ -475,13 +475,6 @@ class GroupTable:
     def labels(self):
         return [self.backend.label(i) for i in range(self.order)]
 
-    def element_order(self, i):
-        k, x = 1, int(i)
-        while x != self.identity:
-            x = self.mul(x, i)
-            k += 1
-        return k
-
 
 # ---------------------------------------------------------------------------
 # descriptor grammar: cyclic:<n>, dihedral:<n>, symmetric:<n>, sl2:<p>,
@@ -516,28 +509,56 @@ def _canonical(tree):
     return "%s:%d" % tree
 
 
+def _check_atom(kind, n):
+    """GroupConstructionError unless kind:n names a group that can be built."""
+    if kind not in ("cyclic", "dihedral", "symmetric", "sl2", "psl2"):
+        raise GroupConstructionError("unsupported family %r" % kind)
+    if kind == "cyclic" and n < 1:
+        raise GroupConstructionError("cyclic order must be >= 1")
+    if kind == "dihedral" and n < 1:
+        raise GroupConstructionError("dihedral parameter must be >= 1")
+    if kind == "symmetric" and not 1 <= n <= 8:
+        raise GroupConstructionError("symmetric degree must be in 1..8")
+    if kind in ("sl2", "psl2") and (n == 2 or not _is_prime(n) or n > 101):
+        raise GroupConstructionError("%s parameter must be an odd prime <= 101" % kind)
+
+
 def _build_backend(tree):
     kind = tree[0]
     if kind == "product":
         return _Product(_build_backend(tree[1]), _build_backend(tree[2]))
     n = tree[1]
+    _check_atom(kind, n)
     if kind == "cyclic":
-        if n < 1:
-            raise GroupConstructionError("cyclic order must be >= 1")
         return _Cyclic(n)
     if kind == "dihedral":
-        if n < 1:
-            raise GroupConstructionError("dihedral parameter must be >= 1")
         return _Dihedral(n)
     if kind == "symmetric":
-        if not 1 <= n <= 8:
-            raise GroupConstructionError("symmetric degree must be in 1..8")
         return _Perm(n)
-    if kind in ("sl2", "psl2"):
-        if n == 2 or not _is_prime(n) or n > 101:
-            raise GroupConstructionError("%s parameter must be an odd prime <= 101" % kind)
-        return _Mat2(n, projective=(kind == "psl2"))
-    raise GroupConstructionError("unsupported family %r" % kind)
+    return _Mat2(n, projective=(kind == "psl2"))
+
+
+_PARTITIONS = (1, 1, 2, 3, 5, 7, 11, 15, 22)   # p(n), n = 0..8
+
+
+def class_count(desc):
+    """Number of conjugacy classes of the group desc names, from closed forms
+    alone (no table, no classes): n for cyclic:n; (n + 3)/2 or (n + 6)/2 for
+    dihedral:n, n odd or even; the partition number p(n) for symmetric:n;
+    p + 4 for sl2:p; (p + 5)/2 for psl2:p.  A product multiplies its parts'."""
+    tree = parse_descriptor(desc) if isinstance(desc, str) else desc
+    kind = tree[0]
+    if kind == "product":
+        return class_count(tree[1]) * class_count(tree[2])
+    n = tree[1]
+    _check_atom(kind, n)
+    if kind == "cyclic":
+        return n
+    if kind == "dihedral":
+        return (n + 3) // 2 if n % 2 else (n + 6) // 2
+    if kind == "symmetric":
+        return _PARTITIONS[n]
+    return n + 4 if kind == "sl2" else (n + 5) // 2
 
 
 def canonical_descriptor(desc):

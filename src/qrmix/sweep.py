@@ -14,9 +14,9 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .actions import BUILT_IN, ProbabilitySpace, random_observable
-from .characters import CharacterError, character_degrees, quasirandom_degree
+from .characters import CharacterError, character_degrees, check_class_count, quasirandom_degree
 from .groups import (EXACT_MAX_ORDER, GroupConstructionError, build_group, canonical_descriptor,
-                     check_samples, conjugacy_classes, group_order, plan)
+                     check_samples, class_count, conjugacy_classes, group_order, plan)
 from .mixing import mixing_bound_check
 from .recurrence import correlation_family, triple_recurrence_error, vdc_check
 from .seeding import derive_seed
@@ -214,6 +214,7 @@ def run_sweep(cfg):
     groups_summary = {}
     for desc in cfg.groups:
         try:
+            check_class_count(class_count(desc))    # every group's entry reports D
             G = build_group(desc)
             rows, entry = sweep_group(cfg, G)
             entry["D"] = quasirandom_degree(G)

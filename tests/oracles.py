@@ -124,10 +124,19 @@ def dihedral_degrees(n):
     return (1,) * 4 + (2,) * ((n - 2) // 2)
 
 
+def element_order(G, i):
+    """Order of element i, by multiplying by i until the identity comes back."""
+    k, x = 1, int(i)
+    while x != G.identity:
+        x = G.mul(x, i)
+        k += 1
+    return k
+
+
 def exponent_by_element_orders(G):
     out = 1
     for g in range(G.order):
-        out = math.lcm(out, G.element_order(g))
+        out = math.lcm(out, element_order(G, g))
     return out
 
 

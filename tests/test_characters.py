@@ -12,7 +12,8 @@ from qrmix import (
     group_exponent,
     quasirandom_degree,
 )
-from qrmix import characters
+from qrmix import GroupTable, characters
+from qrmix.groups import ConjugacyData
 
 import oracles
 
@@ -28,6 +29,19 @@ def test_class_constants_match_brute_force(desc):
     G = build_group(desc)
     got = class_constants(G).a
     assert np.array_equal(got, oracles.brute_force_class_constants(G))
+
+
+def test_degrees_build_only_the_class_matrices_the_split_reads():
+    # symmetric:8 has k = 22 classes; its split is done after a few matrices,
+    # each built from one kernel row
+    G = build_group("symmetric:8")
+    k = conjugacy_classes(G).k
+    calls = []
+    for name in ("mul_vec", "vec_mul"):
+        method = getattr(G, name)
+        setattr(G, name, lambda *a, method=method, **kw: calls.append(a) or method(*a, **kw))
+    character_degrees(G)
+    assert 0 < len(calls) < k == 22
 
 
 def test_class_constants_counting_identity():
@@ -87,9 +101,13 @@ def test_dihedral_degrees_match_closed_form(n):
 
 
 def test_split_refuses_matrix_that_does_not_split():
-    # x^2 + 1, the characteristic polynomial, has no root mod 3
-    with pytest.raises(CharacterError, match="does not split"):
-        characters._split_spaces([np.array([[0, 2], [1, 0]], dtype=np.int64)], 3)
+    # x^2 - 2, the characteristic polynomial, has no root mod 3 or mod 5.  Over
+    # F_5 the first power, at a = 0, is A = 2I: a scalar, but not 0 or +-1
+    M = np.array([[0, 2], [1, 0]], dtype=np.int64)
+    assert np.array_equal(characters._matpow(M, 2, 5), 2 * np.eye(2, dtype=np.int64))
+    for q in (3, 5):
+        with pytest.raises(CharacterError, match="does not split"):
+            characters._split_spaces([M], q)
 
 
 def test_degrees_refuse_prime_that_overflows_int64(monkeypatch):
@@ -151,6 +169,14 @@ def test_group_exponent_matches_element_order_lcm():
     for desc in ["symmetric:4", "dihedral:6", "sl2:5", "cyclic:12"]:
         G = build_group(desc)
         assert group_exponent(G) == oracles.exponent_by_element_orders(G)
+
+
+def test_group_exponent_refuses_powers_that_miss_the_identity():
+    # 1 * 1 = 1: element 1's powers never reach the identity 0
+    G = GroupTable.from_table([[0, 1], [1, 1]])
+    C = ConjugacyData(class_of=np.array([0, 1]), class_sizes=[1, 1], representatives=[0, 1])
+    with pytest.raises(CharacterError, match="identity"):
+        group_exponent(G, C)
 
 
 def test_degrees_deterministic_across_instances():

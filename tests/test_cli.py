@@ -40,6 +40,17 @@ def test_degrees_trivial_group_reports_inf(capsys):
     assert json.loads(out)["D"] == "inf"
 
 
+@pytest.mark.parametrize("argv, k", [(("degrees", "-g", "dihedral:400000"), 200003),
+                                     (("mixing", "-g", "cyclic:600", "--trials", "1"), 600)],
+                         ids=["degrees", "mixing"])
+def test_oversized_class_count_refused_before_building_the_group(capsys, monkeypatch, argv, k):
+    def no_group(desc):
+        raise AssertionError("the group was built")
+    monkeypatch.setattr(cli, "build_group", no_group)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err == "error: class count %d exceeds 512\n" % k
+
+
 def test_bad_descriptor_exits_2(capsys):
     code, _, err = run_cli(capsys, "degrees", "-g", "nosuch:4")
     assert code == 2
@@ -340,7 +351,7 @@ def _run_qrmix(argv, out_dir, blas_threads="1"):
     env = dict(os.environ, **threads,
                PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"),
                                            os.environ.get("PYTHONPATH", "")]))
-    # a broken kernel can make element_order loop forever
+    # the timeout fails a run that hangs instead of stalling the suite
     run = subprocess.run([sys.executable, "-m", "qrmix", *argv, "--out", str(out_dir)],
                          env=env, capture_output=True, timeout=300)
     assert run.returncode == 0, run.stderr

@@ -14,7 +14,7 @@ from qrmix import (
     parse_descriptor,
     verify_group_axioms,
 )
-from qrmix.groups import check_samples, plan
+from qrmix.groups import check_samples, class_count, plan
 
 import oracles
 
@@ -134,8 +134,8 @@ def test_sl2_labels_in_lex_order(desc):
 def test_dihedral_relations():
     G = build_group("dihedral:5")
     r, s = 1, 5   # encoding: index a*n + k is s^a r^k
-    assert G.element_order(r) == 5
-    assert G.element_order(s) == 2
+    assert oracles.element_order(G, r) == 5
+    assert oracles.element_order(G, s) == 2
     # s r s^-1 = r^-1
     conj = G.mul(G.mul(s, r), int(G.inv[s]))
     assert conj == int(G.inv[r])
@@ -189,6 +189,14 @@ def test_abelian_groups_have_singleton_classes():
     G = build_group("cyclic:12")
     C = conjugacy_classes(G)
     assert C.k == 12 and set(C.class_sizes) == {1}
+
+
+@pytest.mark.parametrize("desc", ["cyclic:1", "cyclic:9", "dihedral:1", "dihedral:2", "dihedral:7",
+                                  "dihedral:10", "symmetric:1", "symmetric:6", "sl2:3", "sl2:11",
+                                  "psl2:3", "psl2:11", "product:sl2:5,symmetric:4",
+                                  "product:dihedral:4,product:cyclic:3,psl2:5"])
+def test_class_count_closed_forms_match_conjugacy_classes(desc):
+    assert class_count(desc) == conjugacy_classes(build_group(desc)).k
 
 
 def test_generator_bfs_conjugacy_consistent_with_random_conjugations():
