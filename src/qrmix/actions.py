@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .groups import conjugacy_classes, into
+from .groups import ROW_BLOCK, conjugacy_classes, into
 
 _WEIGHT_TOL = 1e-12
 
@@ -92,6 +92,7 @@ class ActionTable:
     Built-in kinds act on X = G: left g.x = gx, right g.x = x g^-1,
     conjugation g.x = g x g^-1.  Custom actions supply an explicit
     (|G|, |X|) table of act(g, x) and are validated at build time.
+    Rows come from inv_rows, in blocks, on groups with or without a dense table.
     """
 
     def __init__(self, group, space, kind, rows=None, validate=True):
@@ -130,40 +131,42 @@ class ActionTable:
         if np.any(lhs != rhs):
             raise ActionValidationError("action is not associative with the group law")
 
+    def inv_rows(self, gs):
+        """The rows x -> g^-1 . x for g in gs, in blocks that the next block may
+        overwrite: the one place an action kind picks its rows.  Left reads the
+        translates L at g^-1, right the right translates R at g, conjugation
+        R[L] (g^-1 x g), and custom its stored rows at g^-1."""
+        G, gs = self.group, np.asarray(gs)
+        if self.kind == "left":
+            return G.translates(G.inv[gs])
+        if self.kind == "right":
+            return G.translates(gs, right=True)
+        if self.kind == "conjugation":      # R[L] row by row: one flat take per block
+            return (R.take(L + np.arange(0, R.size, G.order)[:, None])
+                    for L, R in zip(G.translates(G.inv[gs]), G.translates(gs, right=True)))
+        B = max(1, ROW_BLOCK // self.space.size)
+        return (self._rows[G.inv[gs[s:s + B]]] for s in range(0, len(gs), B))
+
+    def inv_row(self, g, out=None):
+        """x -> g^-1 . x, the row behind the Koopman operator; into out when given."""
+        return into(out, next(self.inv_rows([g]))[0])
+
     def act_row(self, g, out=None):
         """x -> g . x over all points of X, written into out when given."""
-        if self._rows is not None:
-            return into(out, self._rows[g])
-        G = self.group
-        if self.kind == "left":
-            return G.mul_vec(g, out=out)
-        if self.kind == "right":
-            return G.vec_mul(None, int(G.inv[g]), out=out)
-        return into(out, G.vec_mul(G.mul_vec(g), int(G.inv[g])))
+        return self.inv_row(self.group.inv[g], out)
 
     def act(self, g, x):
         return int(self.act_row(g)[x])
 
-    def inv_row(self, g, out=None):
-        """x -> g^-1 . x, the row behind the Koopman operator; into out when given."""
-        return self.act_row(int(self.group.inv[g]), out)
-
-    def check_dense(self):
-        """Refuse a built-in action of a group without a dense table: its row
-        matrix, and its exact g-averages, are not formed."""
+    def inv_rows_matrix(self):
+        """Matrix M with M[g, x] = g^-1 . x, built on each call.  Refused for a
+        built-in action of a group without a dense table, where M is |G| x |G|."""
         G = self.group
         if self._rows is None and G.table is None:
             raise ValueError("the %s action of %s (|G| = %d) has no row matrix: it needs a "
                              "dense table, and would take %d bytes"
                              % (self.kind, G.desc, G.order, 4 * G.order * G.order))
-
-    def inv_rows_matrix(self):
-        """Matrix M with M[g, x] = g^-1 . x, built on each call."""
-        self.check_dense()
-        M = np.empty((self.group.order, self.space.size), dtype=np.int32)
-        for g in range(self.group.order):
-            self.inv_row(g, out=M[g])
-        return M
+        return np.concatenate([b.astype(np.int32) for b in self.inv_rows(np.arange(G.order))])
 
     def orbit_of(self):
         """Orbit index per point of X (orbits of the full group action)."""

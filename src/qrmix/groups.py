@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ORDER = 2_000_000
-DENSE_LIMIT = 4096          # dense table, exact mixing and every-g vdc integral up to this order
+DENSE_LIMIT = 4096          # dense table and every-g vdc integral up to this order
 ROW_BLOCK = 1 << 16         # elements per block of translates and gather_blocks
 EXACT_MAX_ORDER = 3000      # default largest order that mixing and recurrence average exactly
 VDC_EXACT_MAX = 512         # largest order whose van der Corput Gram matrix is formed
@@ -592,11 +592,10 @@ def check_samples(experiment, samples, name="samples"):
 def plan(experiment, desc, order, samples=None, seed=0, exact_max_order=EXACT_MAX_ORDER):
     """None if experiment ("mixing", "recurrence" or "vdc") averages over
     every g of the group desc of order |G|, else the number of seeded g it
-    samples; a ValueError naming the input at fault if it cannot run."""
+    samples; a ValueError naming the input at fault if it cannot run.
+    Mixing and recurrence average every g up to exact_max_order on any group,
+    with or without a dense table; vdc up to VDC_EXACT_MAX (its Gram matrix)."""
     if order <= (VDC_EXACT_MAX if experiment == "vdc" else exact_max_order):
-        if experiment == "mixing" and order > DENSE_LIMIT:   # exact mixing gathers from the table
-            raise ValueError("exact_max_order %d asks for exact mixing on %s (|G| = %d), "
-                             "which needs |G| <= %d" % (exact_max_order, desc, order, DENSE_LIMIT))
         return None
     if samples is None or seed is None:
         raise ValueError("%s on %s (|G| = %d) samples g, and needs samples and a seed"

@@ -39,23 +39,17 @@ class MixingReport:
 
 
 def _pair_correlations(a, f1, f2, gs=None):
-    """<f1, g . f2> for each g in gs (every g when None), in translate blocks:
-    left reads the rows x -> g^-1 x, right x -> xg.  Conjugation puts y = g^-1 x:
-    sum_y u(gy) conj f2(yg) with u = f1 nu, from the rows y -> gy and y -> yg."""
+    """<f1, g . f2> = sum_x u(x) conj f2(g^-1 . x), u = f1 nu, for each g in gs
+    (every g when None), from the action's row blocks.  Conjugation puts
+    y = g^-1 x: sum_y u(gy) conj f2(yg), from the rows y -> gy and y -> yg."""
     u = f1.values * a.space.weights
     c2 = np.conj(f2.values)
     G = a.group
-    if gs is None:
-        a.check_dense()
-        gs = np.arange(G.order)
+    gs = np.arange(G.order) if gs is None else gs
     if a.kind == "conjugation":
         blocks = zip(gather_blocks(G.translates(gs), u), gather_blocks(G.translates(gs, right=True), c2))
         return np.concatenate([np.einsum("ij,ij->i", U, C) for (U,), (C,) in blocks])
-    if a.kind == "custom":
-        rows = [a.inv_rows_matrix()[gs]]
-    else:
-        rows = G.translates(G.inv[gs]) if a.kind == "left" else G.translates(gs, right=True)
-    return np.concatenate([np.einsum("ij,j->i", C, u) for (C,) in gather_blocks(rows, c2)])
+    return np.concatenate([np.einsum("ij,j->i", C, u) for (C,) in gather_blocks(a.inv_rows(gs), c2)])
 
 
 def mixing_error(a, f1, f2):

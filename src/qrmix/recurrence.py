@@ -194,7 +194,7 @@ def triple_recurrence_error(G, f1, f2, f3, mode="exact", samples=None, seed=None
         group=G.desc,
         D=D,
         epsilon=eps,
-        bound_total=min(eps + math.sqrt(5.0 * eps), 4.0 * math.sqrt(eps)),
+        bound_total=eps + math.sqrt(5.0 * eps),   # <= 4 sqrt(eps) on [0, 1]
         bound_case_i=eps,
         bound_case_ii=math.sqrt(5.0 * eps),
         measured_total=total,
@@ -241,13 +241,13 @@ def gram_identity_check(G, f2, f3, g, h):
     _check_space(G, f2, "f2")
     _check_space(G, f3, "f3")
     w, v2, v3 = f2.space.weights, f2.values, f3.values
-    left, conj = cached_action(G, "left"), cached_action(G, "conjugation")
-    e_g = v2[left.inv_row(g)] * v3[conj.inv_row(g)]
-    gh = G.mul(g, h)
-    e_gh = v2[left.inv_row(gh)] * v3[conj.inv_row(gh)]
+    # f2 and f3 moved by g, gh and h: the left and conjugation rows, one read each
+    gs = [g, G.mul(g, h), h]
+    A2, A3 = (np.concatenate([v[rows] for rows in cached_action(G, kind).inv_rows(gs)])
+              for v, kind in ((v2, "left"), (v3, "conjugation")))
+    e_g, e_gh = A2[:2] * A3[:2]
     lhs = complex(np.sum(e_g * e_gh * w))
-    F2h = v2 * v2[left.inv_row(h)]
-    F3h = v3 * v3[conj.inv_row(h)]
+    F2h, F3h = v2 * A2[2], v3 * A3[2]
     xg = cached_action(G, "right").inv_row(g)  # (g .r F)(x) = F(xg)
     rhs = complex(np.sum(F2h * F3h[xg] * w))
     return GramCheck(lhs=lhs, rhs=rhs, discrepancy=abs(lhs - rhs))

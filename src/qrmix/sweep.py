@@ -14,7 +14,8 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .actions import BUILT_IN, ProbabilitySpace, random_observable
-from .characters import CharacterError, character_degrees, check_class_count, quasirandom_degree
+from .characters import (MAX_CLASSES, CharacterError, character_degrees, check_class_count,
+                         quasirandom_degree)
 from .groups import (EXACT_MAX_ORDER, GroupConstructionError, build_group, canonical_descriptor,
                      check_samples, class_count, conjugacy_classes, group_order, plan)
 from .mixing import mixing_bound_check
@@ -214,10 +215,12 @@ def run_sweep(cfg):
     groups_summary = {}
     for desc in cfg.groups:
         try:
-            check_class_count(class_count(desc))    # every group's entry reports D
+            k = class_count(desc)
+            if set(cfg.experiments) != {"vdc"}:     # vdc alone needs no D
+                check_class_count(k)                # every other sweep's entry reports D
             G = build_group(desc)
             rows, entry = sweep_group(cfg, G)
-            entry["D"] = quasirandom_degree(G)
+            entry["D"] = quasirandom_degree(G) if k <= MAX_CLASSES else None
         except (GroupConstructionError, CharacterError) as exc:
             groups_summary[desc] = {"error": str(exc)}
             continue

@@ -26,9 +26,9 @@ from .actions import (
     Observable,
     ProbabilitySpace,
     cached_action,
+    gather_blocks,
     inner,
     invariant_projection,
-    koopman_apply,
     random_observable,
 )
 from .characters import character_degrees, quasirandom_degree
@@ -278,9 +278,8 @@ def crit_projection(groups, trials, master=0, inflate=0, build=build_group):
                 ph = invariant_projection(a, h)
                 dev = float(np.max(np.abs(invariant_projection(a, pf).values - pf.values)))
                 dev = max(dev, abs(inner(space, pf, h) - inner(space, f, ph)))
-                for g in range(G.order):
-                    dev = max(dev, float(np.max(np.abs(
-                        koopman_apply(a, g, pf).values - pf.values))))
+                for (moved,) in gather_blocks(a.inv_rows(np.arange(G.order)), pf.values):
+                    dev = max(dev, float(np.max(np.abs(moved - pf.values))))
                 if kind in ("left", "right"):
                     mean = inner(space, f, ones)
                     dev = max(dev, float(np.max(np.abs(pf.values - mean))))

@@ -151,6 +151,31 @@ def test_translates_blocks_stack_to_translation_rows(desc, m, side):
     assert np.array_equal(np.concatenate(blocks), np.stack(rows))
 
 
+@pytest.mark.parametrize("desc, m", [("sl2:5", 1200), ("sl2:17", 30)])
+@pytest.mark.parametrize("kind", ["left", "right", "conjugation"])
+def test_inv_rows_blocks_stack_to_inv_row(desc, m, kind):
+    G = build_group(desc)                             # sl2:5 has a dense table, sl2:17 none
+    a = cached_action(G, kind)
+    gs = np.random.default_rng(18).integers(0, G.order, m)
+    blocks = [b.copy() for b in a.inv_rows(gs)]       # a block may overwrite the last
+    B = max(1, ROW_BLOCK // G.order)
+    assert [len(b) for b in blocks] == [min(B, m - s) for s in range(0, m, B)]
+    assert len(blocks) > 1 and len(blocks[-1]) < B    # a short last block
+    assert np.array_equal(np.concatenate(blocks), np.stack([a.inv_row(g) for g in gs]))
+
+
+def test_inv_rows_blocks_of_custom_action():
+    G = build_group("symmetric:3")
+    perms = G.backend.perms
+    a = ActionTable(G, ProbabilitySpace.uniform(3), "custom", rows=perms)
+    m, B = 25_000, ROW_BLOCK // 3                     # blocks of 21845 rows, then 3155
+    gs = np.random.default_rng(19).integers(0, G.order, m)
+    blocks = [b.copy() for b in a.inv_rows(gs)]
+    assert [len(b) for b in blocks] == [B, m - B]
+    assert np.array_equal(np.concatenate(blocks), perms[G.inv[gs]])
+    assert all(np.array_equal(a.inv_row(g), perms[G.inv[g]]) for g in range(G.order))
+
+
 def test_inv_row_of_custom_action():
     G = build_group("symmetric:3")
     a = ActionTable(G, ProbabilitySpace.uniform(3), "custom", rows=G.backend.perms)

@@ -200,8 +200,7 @@ def test_config_invariants():
 @pytest.mark.parametrize("overrides", [
     {"trials": "3"}, {"trials": 1.5}, {"trials": True}, {"groups": "cyclic:5"},
     {"groups": []}, {"experiments": []}, {"actions": []}, {"mc_samples": 5},
-    {"master_seed": -1}, {"groups": ["sl2:05", "sl2:5"]},
-    {"exact_max_order": 6000, "groups": ["symmetric:7"]}, {"mc_samples": 10**6 + 1},
+    {"master_seed": -1}, {"groups": ["sl2:05", "sl2:5"]}, {"mc_samples": 10**6 + 1},
 ], ids=lambda o: json.dumps(o))
 def test_sweep_rejects_invalid_config(tmp_path, capsys, overrides):
     code, out, err = run_cli(capsys, "sweep", "--config", _config(tmp_path, **overrides))
@@ -232,6 +231,23 @@ def test_sweep_runs_vdc_above_the_dense_limit(tmp_path, capsys):
     rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
     assert [(r["group"], r["experiment"], r["pass"]) for r in rows] == [
         ("sl2:5", "vdc", "true"), ("sl2:17", "vdc", "true")]
+
+
+def test_sweep_of_vdc_alone_needs_no_degrees(tmp_path, capsys):
+    # cyclic:600's 600 classes are past the degree computation's range: its D is null
+    cfg = _config(tmp_path, groups=["cyclic:600"], experiments=["vdc"], trials=1,
+                  mc_samples=100)
+    code, _, _ = run_cli(capsys, "sweep", "--config", cfg)
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["groups"]["cyclic:600"]["D"] is None
+    assert summary["groups"]["cyclic:600"]["error"] is None
+    rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+    code, out, _ = run_cli(capsys, "vdc", "-g", "cyclic:600", "--trials", "1", "--mc", "100",
+                           "--seed", "5")
+    assert code == 0
+    assert _parse_csv(out) == [{c: r[cli.RENAMED.get(c, c)] for c in cli.COLUMNS["vdc"]}
+                               for r in rows]
 
 
 def test_sweep_reports_character_error_as_the_groups_error(tmp_path, capsys):

@@ -293,7 +293,7 @@ def test_labels_are_distinct():
     ("vdc", 512, 3000, None), ("vdc", 513, 3000, 200), ("vdc", 4096, 3000, 200),
     ("mixing", 3000, 3000, None), ("mixing", 3001, 3000, 200),
     ("recurrence", 3000, 3000, None), ("recurrence", 3001, 3000, 200),
-    ("mixing", 4096, 6000, None), ("mixing", 4097, 3000, 200),
+    ("mixing", 4096, 6000, None), ("mixing", 4097, 3000, 200), ("mixing", 4097, 6000, None),
     ("recurrence", 4097, 6000, None), ("vdc", 4097, 3000, 200), ("vdc", 2_000_000, 3000, 200),
 ])
 def test_plan_edges(experiment, order, exact_max_order, expected):
@@ -301,7 +301,6 @@ def test_plan_edges(experiment, order, exact_max_order, expected):
 
 
 @pytest.mark.parametrize("experiment, order, exact_max_order, samples, seed, message", [
-    ("mixing", 4097, 6000, 200, 0, "exact_max_order 6000 asks for exact mixing on g"),
     ("vdc", 513, 3000, None, 0, "vdc on g (|G| = 513) samples g, and needs samples"),
     ("recurrence", 3001, 3000, 200, None, "recurrence on g (|G| = 3001) samples g"),
     ("mixing", 3001, 3000, 29, 0, "samples must be >= 30"),

@@ -147,21 +147,17 @@ def test_monte_carlo_consistent_with_exact():
     assert hits >= 19
 
 
-def test_exact_mixing_refused_without_dense_table():
-    G = build_group("sl2:17")          # |G| = 4896, above the dense limit
-    a = cached_action(G, "left")
-    f1, f2 = _pair(a.space, 60)
-    with pytest.raises(ValueError, match=r"\|G\| = 4896.* 95883264 bytes"):
-        mixing_error(a, f1, f2)
-
-
-@pytest.mark.parametrize("kind", ["left", "right", "conjugation"])
-def test_exact_mixing_matches_per_g_koopman_average(kind):
-    G = build_group("sl2:13")          # 2184 = 72 * 30 + 24: a short last row block
+@pytest.mark.parametrize("kind, desc", [
+    *(pytest.param(k, "sl2:13", id=k) for k in ("left", "right", "conjugation")),
+    *(pytest.param(k, "sl2:17", id=k + "-sl2:17") for k in ("left", "right", "conjugation"))])
+def test_exact_mixing_matches_per_g_koopman_average(kind, desc):
+    # sl2:13: 2184 = 72 * 30 + 24, a short last row block; sl2:17: 4896, no dense table
+    G = build_group(desc)
     a = cached_action(G, kind)
     f1, f2 = _pair(a.space, 62)
     ref = inner(a.space, invariant_projection(a, f1), invariant_projection(a, f2))
-    literal = math.fsum(abs(inner(a.space, f1, koopman_apply(a, g, f2)) - ref)
+    u = f1.values * a.space.weights     # <f1, g . f2> = vdot(g . f2, f1 nu)
+    literal = math.fsum(abs(np.vdot(koopman_apply(a, g, f2).values, u) - ref)
                         for g in range(G.order)) / G.order
     assert mixing_error(a, f1, f2) == pytest.approx(literal, rel=1e-12)
 
