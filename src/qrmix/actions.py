@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .groups import ROW_BLOCK, conjugacy_classes, into
+from .groups import ROW_BLOCK, compose_rows, conjugacy_classes
 
 _WEIGHT_TOL = 1e-12
 
@@ -141,19 +141,19 @@ class ActionTable:
             return G.translates(G.inv[gs])
         if self.kind == "right":
             return G.translates(gs, right=True)
-        if self.kind == "conjugation":      # R[L] row by row: one flat take per block
-            return (R.take(L + np.arange(0, R.size, G.order)[:, None])
-                    for L, R in zip(G.translates(G.inv[gs]), G.translates(gs, right=True)))
+        if self.kind == "conjugation":
+            return (compose_rows(L, R) for L, R in zip(G.translates(G.inv[gs]),
+                                                       G.translates(gs, right=True)))
         B = max(1, ROW_BLOCK // self.space.size)
         return (self._rows[G.inv[gs[s:s + B]]] for s in range(0, len(gs), B))
 
-    def inv_row(self, g, out=None):
-        """x -> g^-1 . x, the row behind the Koopman operator; into out when given."""
-        return into(out, next(self.inv_rows([g]))[0])
+    def inv_row(self, g):
+        """x -> g^-1 . x, the row behind the Koopman operator."""
+        return next(self.inv_rows([g]))[0]
 
-    def act_row(self, g, out=None):
-        """x -> g . x over all points of X, written into out when given."""
-        return self.inv_row(self.group.inv[g], out)
+    def act_row(self, g):
+        """x -> g . x over all points of X."""
+        return self.inv_row(self.group.inv[g])
 
     def act(self, g, x):
         return int(self.act_row(g)[x])
@@ -191,14 +191,14 @@ class ActionTable:
 
 
 def gather_blocks(blocks, *values):
-    """For each index block, the tuple of values[k][block], each gathered into
-    one buffer per value array that the next block overwrites."""
+    """For each index block, the tuple of values[k][block] (along axis 0), each
+    gathered into one buffer per value array that the next block overwrites."""
     bufs = None
     for block in blocks:
         if bufs is None:
-            bufs = [np.empty(block.shape, dtype=v.dtype) for v in values]
+            bufs = [np.empty(block.shape + v.shape[1:], dtype=v.dtype) for v in values]
         # mode="clip": the default "raise" copies out first; indices are in range
-        yield tuple(np.take(v, block, out=buf[:len(block)], mode="clip")
+        yield tuple(np.take(v, block, axis=0, out=buf[:len(block)], mode="clip")
                     for v, buf in zip(values, bufs))
 
 

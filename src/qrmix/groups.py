@@ -66,6 +66,13 @@ def into(out, row):
     return row if out is None else out
 
 
+def compose_rows(L, R):
+    """The rows x -> R[i, L[i, x]] of two equal blocks of intp rows, as one flat
+    take.  L is overwritten with the flat indices: read what it holds before."""
+    L += np.arange(0, R.size, R.shape[1])[:, None]
+    return R.take(L)
+
+
 # ---------------------------------------------------------------------------
 # backends
 
@@ -195,9 +202,8 @@ class _Perm(_Backend):
         return self._index_of(self.perms[self._all(is_)][:, self.perms[j]])
 
     def mul_pairs(self, is_, js):
-        pi = self.perms[np.asarray(is_)]
-        pj = self.perms[np.asarray(js)]
-        return self._index_of(np.take_along_axis(pi, pj, axis=1))
+        pi, pj = self.perms[np.asarray(is_)], self.perms[np.asarray(js)]
+        return self._index_of(compose_rows(pj, pi))     # (p_i o p_j)(x) = p_i[p_j[x]]
 
     def inv_all(self):
         return self._index_of(np.argsort(self.perms, axis=1))

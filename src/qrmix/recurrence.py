@@ -15,7 +15,7 @@ import numpy as np
 
 from .actions import SpaceMismatchError, cached_action, gather_blocks, inner, invariant_projection
 from .characters import quasirandom_degree
-from .groups import DENSE_LIMIT, PASS_TOL, ROW_BLOCK, plan
+from .groups import DENSE_LIMIT, PASS_TOL, ROW_BLOCK, compose_rows, plan
 
 IDENTITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -51,48 +51,50 @@ class RecurrenceReport:
 
 @dataclass
 class VectorFamily:
-    """A G-indexed family of observables e_g on a common space."""
+    """A G-indexed family of observables e_g on a common space, read in
+    blocks of rows through rows(gs)."""
     group: object
     space: object
     vectors: object           # row g = values of e_g: an array, or CorrelationRows
-    l2_bound: float           # recorded sup_g ||e_g||_2 upper bound
+
+    def rows(self, gs):
+        """The rows e_g for g in gs, in blocks of max(1, ROW_BLOCK // |X|) rows,
+        each a view of one buffer that the next block overwrites: the one way
+        vdc_check reads a family.  A stored family's rows are gathered from its
+        array, a correlation family's built from the group's translates."""
+        gs, E = np.asarray(gs), self.vectors
+        if isinstance(E, CorrelationRows):
+            return _correlation_rows(E.group, E.v2, E.v3, gs)
+        B = max(1, ROW_BLOCK // self.space.size)
+        return (A for (A,) in gather_blocks((gs[s:s + B] for s in range(0, len(gs), B)), E))
+
+
+def _correlation_rows(G, v2, v3, gs):
+    """The rows f2[L] f3[R[L]] for g in gs, with L the row x -> g^-1 x and R the
+    row y -> yg, in blocks over the translates; per block the stream holds its
+    two translates buffers and one output buffer."""
+    buf = None
+    for L, R in zip(G.translates(G.inv[gs]), G.translates(gs, right=True)):
+        if buf is None:
+            buf = np.empty(L.shape, dtype=np.complex128)
+        block = np.take(v2, L, out=buf[:len(L)], mode="clip")
+        block *= v3[compose_rows(L, R)]
+        yield block
 
 
 class CorrelationRows:
-    """The rows e_g(x) = f2(g^-1 x) f3(g^-1 x g) of a correlation family,
-    computed from the group's translates when read: no |G| x |G| array is held.
+    """The values of a correlation family, e_g(x) = f2(g^-1 x) f3(g^-1 x g),
+    held as f2 and f3 alone: VectorFamily.rows computes the rows when read.
+    rows[g], one row, and nbytes = 0 remain for perfbench, whose worker reads
+    family.vectors[g] and whose tracer reads vectors.nbytes."""
 
-    rows[g] is row g, rows[gs] the stacked rows for an array gs, rows.take
-    reads them as ndarray.take does, and np.asarray(rows) is every row.  Row
-    g is f2[L] f3[R[L]], with L the row x -> g^-1 x and R the row y -> yg.
-    """
-
-    dtype, nbytes = np.dtype(np.complex128), 0
+    nbytes = 0
 
     def __init__(self, G, v2, v3):
-        self.group, self._v2, self._v3 = G, v2, v3
-        self.shape = (G.order, G.order)
+        self.group, self.v2, self.v3 = G, v2, v3
 
-    def take(self, gs, axis=0, out=None, mode="raise"):
-        """The rows gs, into out when given.  axis and mode complete
-        ndarray.take's signature: rows are taken along axis 0, and every g
-        must be in range."""
-        G, gs = self.group, np.asarray(gs)
-        flat = gs.reshape(-1)
-        if out is None:
-            out = np.empty(gs.shape + (G.order,), dtype=np.complex128)
-        rows, s = out.reshape(-1, G.order), 0
-        for L, R in zip(G.translates(G.inv[flat]), G.translates(flat, right=True)):
-            block = np.take(self._v2, L, out=rows[s:s + len(L)], mode="clip")
-            block *= self._v3[np.take_along_axis(R, L, axis=1)]
-            s += len(L)
-        return out
-
-    __getitem__ = take
-
-    def __array__(self, dtype=None, copy=None):
-        E = self.take(np.arange(self.shape[0]))
-        return E if dtype is None else E.astype(dtype, copy=False)
+    def __getitem__(self, g):
+        return next(_correlation_rows(self.group, self.v2, self.v3, [g]))[0]
 
 
 @dataclass
@@ -223,12 +225,11 @@ def case_decomposition(G, f1, f2, f3, mode="exact", samples=None, seed=None):
 
 def correlation_family(G, f2, f3):
     """The family e_g(x) = f2(g^-1 x) f3(g^-1 x g), one e_g per g of G, with
-    its rows computed when read (CorrelationRows): on any group, of any order,
-    it holds no |G| x |G| array."""
+    its rows computed when read (VectorFamily.rows): on any group, of any
+    order, it holds no |G| x |G| array."""
     _check_space(G, f2, "f2")
     _check_space(G, f3, "f3")
-    return VectorFamily(group=G, space=f2.space, vectors=CorrelationRows(G, f2.values, f3.values),
-                        l2_bound=f2.norm_inf * f3.norm_inf)
+    return VectorFamily(group=G, space=f2.space, vectors=CorrelationRows(G, f2.values, f3.values))
 
 
 def gram_identity_check(G, f2, f3, g, h):
@@ -241,61 +242,51 @@ def gram_identity_check(G, f2, f3, g, h):
     _check_space(G, f2, "f2")
     _check_space(G, f3, "f3")
     w, v2, v3 = f2.space.weights, f2.values, f3.values
-    # f2 and f3 moved by g, gh and h: the left and conjugation rows, one read each
+    # f2 and f3 moved by g, gh and h (f2[L] and f3[R[L]]), and the right rows
+    # R: one pass over the translates
     gs = [g, G.mul(g, h), h]
-    A2, A3 = (np.concatenate([v[rows] for rows in cached_action(G, kind).inv_rows(gs)])
-              for v, kind in ((v2, "left"), (v3, "conjugation")))
+    blocks = [(v2[L], v3[compose_rows(L, R)], R.copy())
+              for L, R in zip(G.translates(G.inv[gs]), G.translates(gs, right=True))]
+    A2, A3, right = (np.concatenate(b) for b in zip(*blocks))
     e_g, e_gh = A2[:2] * A3[:2]
     lhs = complex(np.sum(e_g * e_gh * w))
     F2h, F3h = v2 * A2[2], v3 * A3[2]
-    xg = cached_action(G, "right").inv_row(g)  # (g .r F)(x) = F(xg)
-    rhs = complex(np.sum(F2h * F3h[xg] * w))
+    rhs = complex(np.sum(F2h * F3h[right[0]] * w))   # (g .r F)(x) = F(xg)
     return GramCheck(lhs=lhs, rhs=rhs, discrepancy=abs(lhs - rhs))
-
-
-def _row_blocks(E, gs):
-    """The rows E[g], g in gs, in blocks of max(1, ROW_BLOCK // |G|) rows, each
-    a view of one buffer that the next block overwrites: the one way
-    vdc_check reads a family, stored (an ndarray) or computed."""
-    B = max(1, ROW_BLOCK // E.shape[1])
-    buf = np.empty((min(B, len(gs)), E.shape[1]), dtype=E.dtype)
-    for s in range(0, len(gs), B):
-        block = gs[s:s + B]
-        # mode="clip": the default "raise" copies out first; indices are in range
-        yield E.take(block, axis=0, out=buf[:len(block)], mode="clip")
 
 
 def vdc_check(family, f, samples=None, seed=None):
     """Quantitative van der Corput: avg_g |<f, e_g>| <= sqrt(eps) ||f||_2
     with eps = avg_{g,h} |<e_g, e_gh>|.
 
-    Exact for |G| <= 512, where the family is materialised for its Gram
-    matrix (at most 4 MiB).  Above that a seeded (g, h) sample estimates
-    eps (the inner products stay exact), and the left side averages every g
-    up to |G| = DENSE_LIMIT, the sampled g above.  Rows are read in reused
-    blocks of about 2^16 values: beside O(|G|) values and O(samples) indices
-    the check holds a few blocks, however large the group or the sample.
+    Exact for |G| <= 512, where the family's row blocks are stacked for its
+    Gram matrix (at most 4 MiB).  Above that a seeded (g, h) sample
+    estimates eps (the inner products stay exact), and the left side
+    averages every g up to |G| = DENSE_LIMIT, the sampled g above.  Rows
+    are read only through family.rows, in reused blocks of about 2^16
+    values: beside O(|G|) values and O(samples) indices the check holds a
+    few blocks, however large the group or the sample.
     """
     G = family.group
     if f.space.size != family.space.size:
         raise SpaceMismatchError("f must live on the family's space")
     n = G.order
-    E, w = family.vectors, family.space.weights
+    w = family.space.weights
     u = np.conj(f.values) * w
     samples = plan("vdc", G.desc, n, samples, seed)
     every_g = samples is None or n <= DENSE_LIMIT
     # |conj <f, e_g>| for every g, or else for the sampled g in the loop below
-    corr = [np.abs(rows @ u) for rows in _row_blocks(E, np.arange(n))] if every_g else []
+    corr = [np.abs(rows @ u) for rows in family.rows(np.arange(n))] if every_g else []
     if samples is None:
-        E = np.asarray(E)
+        E = np.concatenate([rows.copy() for rows in family.rows(np.arange(n))])
         gram = (E * w) @ np.conj(E.T)       # gram[g, h'] = <e_g, e_h'>
-        epsilon_lhs = float(np.abs(np.take_along_axis(gram, G.table, axis=1)).sum()) / (n * n)
+        epsilon_lhs = float(np.abs(gram[np.arange(n)[:, None], G.table]).sum()) / (n * n)
     else:
         rng = np.random.default_rng(seed)
         gs = rng.integers(0, n, samples)
         hs = rng.integers(0, n, samples)
         vals = []
-        for a, c in zip(_row_blocks(E, gs), _row_blocks(E, G.mul_pairs(gs, hs))):
+        for a, c in zip(family.rows(gs), family.rows(G.mul_pairs(gs, hs))):
             if not every_g:
                 corr.append(np.abs(a @ u))
             np.multiply(a, w, out=a)        # the rows of e_g w conj(e_gh)

@@ -235,7 +235,7 @@ def crit_vdc(delta_groups, corr_groups, trials, master=0, inflate=0, build=build
         G = build(desc)
         n = G.order
         fam = VectorFamily(group=G, space=ProbabilitySpace.uniform(n),
-                           vectors=math.sqrt(n) * np.eye(n, dtype=np.complex128), l2_bound=1.0)
+                           vectors=math.sqrt(n) * np.eye(n, dtype=np.complex128))
         res = vdc_check(fam, Observable(fam.space, np.ones(n)))
         good = (abs(res.epsilon_lhs - 1.0 / n) <= CLOSED_FORM_RTOL / n
                 and abs(res.rhs_integral - res.bound) <= IDENTITY_TOL)

@@ -9,6 +9,7 @@ import importlib.util
 import itertools
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -23,6 +24,7 @@ def perfbench_module(name):
     spec = importlib.util.spec_from_file_location("perfbench_" + name,
                                                   os.path.join(_PERFBENCH, name + ".py"))
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 

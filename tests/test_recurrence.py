@@ -25,6 +25,7 @@ from qrmix import (
     triple_recurrence_error,
     vdc_check,
 )
+from qrmix.groups import ROW_BLOCK
 
 
 def _real(space, seed):
@@ -34,6 +35,11 @@ def _real(space, seed):
 
 def _triple(space, seed):
     return tuple(random_observable(space, seed + i) for i in range(3))
+
+
+def _stacked(fam, gs):
+    """The rows of fam.rows(gs), each block copied out of its reused buffer."""
+    return np.concatenate([block.copy() for block in fam.rows(gs)])
 
 
 def _peak_bytes(fn, *args, **kwargs):
@@ -199,7 +205,7 @@ def test_correlation_family_constant_inputs():
     space = ProbabilitySpace.uniform(6)
     ones = Observable(space, np.ones(6))
     fam = correlation_family(G, ones, ones)
-    assert np.array_equal(fam.vectors, np.ones((6, 6)))
+    assert np.array_equal(_stacked(fam, range(6)), np.ones((6, 6)))
 
 
 def test_correlation_family_linf_bound():
@@ -208,8 +214,7 @@ def test_correlation_family_linf_bound():
     f2 = random_observable(space, 80)
     f3 = random_observable(space, 81)
     fam = correlation_family(G, f2, f3)
-    assert np.max(np.abs(fam.vectors)) <= f2.norm_inf * f3.norm_inf + 1e-15
-    assert fam.l2_bound == f2.norm_inf * f3.norm_inf
+    assert np.max(np.abs(_stacked(fam, range(8)))) <= f2.norm_inf * f3.norm_inf + 1e-15
 
 
 def test_correlation_family_abelian_form():
@@ -297,8 +302,7 @@ def test_gram_identity_h_identity_specialization():
 def _delta_family(G):
     n = G.order
     return VectorFamily(group=G, space=ProbabilitySpace.uniform(n),
-                        vectors=math.sqrt(n) * np.eye(n, dtype=np.complex128),
-                        l2_bound=1.0)
+                        vectors=math.sqrt(n) * np.eye(n, dtype=np.complex128))
 
 
 @pytest.mark.parametrize("desc", ["cyclic:5", "symmetric:4", "dihedral:6", "psl2:5"])
@@ -318,8 +322,7 @@ def test_vdc_constant_family_cauchy_schwarz_equality():
     G = build_group("cyclic:8")
     space = ProbabilitySpace.uniform(8)
     e = random_observable(space, 90)
-    fam = VectorFamily(group=G, space=space,
-                       vectors=np.tile(e.values, (8, 1)), l2_bound=e.norm2)
+    fam = VectorFamily(group=G, space=space, vectors=np.tile(e.values, (8, 1)))
     res = vdc_check(fam, e)      # f parallel to e: equality case
     assert abs(res.epsilon_lhs - e.norm2 ** 2) < 1e-12
     assert abs(res.rhs_integral - res.bound) < 1e-12
@@ -382,7 +385,7 @@ def test_sampled_vdc_reads_stored_and_computed_rows_alike():
     G = build_group("sl2:11")          # 1320 > VDC_EXACT_MAX: sampled (g, h) pairs
     space = ProbabilitySpace.uniform(G.order)
     fam = correlation_family(G, random_observable(space, 101), random_observable(space, 102))
-    stored = VectorFamily(group=G, space=space, vectors=np.asarray(fam.vectors), l2_bound=1.0)
+    stored = VectorFamily(group=G, space=space, vectors=_stacked(fam, range(G.order)))
     f = random_observable(space, 103)
     assert vdc_check(fam, f, samples=300, seed=2) == vdc_check(stored, f, samples=300, seed=2)
 
@@ -400,16 +403,46 @@ def test_correlation_family_rows_without_dense_table():
     space = ProbabilitySpace.uniform(G.order)
     f2, f3 = random_observable(space, 1), random_observable(space, 2)
     fam = correlation_family(G, f2, f3)
-    assert fam.vectors.shape == (G.order, G.order) and fam.vectors.nbytes == 0
+    assert fam.vectors.nbytes == 0
     gs = np.array([0, 1, 2500, G.order - 1])
-    for g, row in zip(gs, fam.vectors[gs]):
+    rows = _stacked(fam, gs)
+    assert rows.shape == (len(gs), G.order)
+    for g, row in zip(gs, rows):
         assert np.array_equal(fam.vectors[g], _literal_family_row(G, f2, f3, g))
         assert np.array_equal(row, fam.vectors[g])
     G = build_group("symmetric:3")
     space = ProbabilitySpace.uniform(6)
     f2, f3 = random_observable(space, 3), random_observable(space, 4)
     want = [_literal_family_row(G, f2, f3, g) for g in range(6)]
-    assert np.array_equal(np.asarray(correlation_family(G, f2, f3).vectors), want)
+    assert np.array_equal(_stacked(correlation_family(G, f2, f3), range(6)), want)
+
+
+@pytest.mark.parametrize("case", ["sl2:13", "sl2:17", "stored"])
+def test_family_rows_stream_in_reused_blocks(case):
+    if case == "sl2:13":            # 72 blocks of 30 rows and one of 24
+        G, f2, f3 = _sl2_13_family_inputs()
+        fam, gs = correlation_family(G, f2, f3), np.random.default_rng(9).permutation(G.order)
+    elif case == "sl2:17":          # no dense table: a block of 13 rows and one of 1
+        G = build_group("sl2:17")
+        space = ProbabilitySpace.uniform(G.order)
+        f2, f3 = random_observable(space, 10), random_observable(space, 11)
+        fam, gs = correlation_family(G, f2, f3), np.arange(0, G.order, 350)
+    else:                           # blocks of 195 rows of the stored array
+        fam = _delta_family(build_group("sl2:7"))
+        gs = np.random.default_rng(9).integers(0, 336, 400)
+    views, blocks = [], []
+    for block in fam.rows(gs):
+        views.append(block)         # held, so a fresh buffer per block would not share memory
+        blocks.append(block.copy())
+    B = max(1, ROW_BLOCK // fam.space.size)
+    assert [len(b) for b in blocks] == [len(gs[s:s + B]) for s in range(0, len(gs), B)]
+    assert all(np.shares_memory(v, views[0]) for v in views)
+    rows = np.concatenate(blocks)
+    for g, row in zip(gs, rows):
+        assert np.array_equal(row, fam.vectors[g])
+    if case != "stored":            # the first and last row of every block, literally
+        for i in {*range(0, len(gs), B), *range(B - 1, len(gs), B), len(gs) - 1}:
+            assert np.array_equal(rows[i], _literal_family_row(G, f2, f3, gs[i]))
 
 
 def test_vdc_above_dense_limit_averages_the_sampled_g():
@@ -419,7 +452,7 @@ def test_vdc_above_dense_limit_averages_the_sampled_g():
     res = vdc_check(correlation_family(G, f2, f3), f, samples=20, seed=8)
     gs = np.random.default_rng(8).integers(0, G.order, 20)    # the g of the (g, h) pairs
     # rows as test_correlation_family_rows_without_dense_table checks them
-    rows = correlation_family(G, f2, f3).vectors[gs]
+    rows = _stacked(correlation_family(G, f2, f3), gs)
     corr = [abs(np.sum(f.values * np.conj(row))) / G.order for row in rows]
     assert res.mode == "monte_carlo" and res.passed
     assert res.rhs_integral == pytest.approx(math.fsum(corr) / 20, rel=1e-12, abs=0)
