@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .groups import ROW_BLOCK, compose_rows, conjugacy_classes
+from .groups import compose_rows, conjugacy_classes, row_chunks
 
 _WEIGHT_TOL = 1e-12
 
@@ -95,7 +95,7 @@ class ActionTable:
     Rows come from inv_rows, in blocks, on groups with or without a dense table.
     """
 
-    def __init__(self, group, space, kind, rows=None, validate=True):
+    def __init__(self, group, space, kind, rows=None):
         if kind not in KINDS:
             raise ValueError("unknown action kind %r" % kind)
         self.group = group
@@ -108,8 +108,7 @@ class ActionTable:
             if rows.shape != (group.order, space.size):
                 raise ActionValidationError("rows must have shape (|G|, |X|)")
             self._rows = rows.astype(np.int64)
-            if validate:
-                self._validate_custom()
+            self._validate_custom()
 
     def _validate_custom(self):
         G, rows = self.group, self._rows
@@ -144,15 +143,15 @@ class ActionTable:
         if self.kind == "conjugation":
             return (compose_rows(L, R) for L, R in zip(G.translates(G.inv[gs]),
                                                        G.translates(gs, right=True)))
-        B = max(1, ROW_BLOCK // self.space.size)
-        return (self._rows[G.inv[gs[s:s + B]]] for s in range(0, len(gs), B))
+        return (self._rows[G.inv[chunk]] for chunk in row_chunks(gs, self.space.size))
 
     def inv_row(self, g):
         """x -> g^-1 . x, the row behind the Koopman operator."""
         return next(self.inv_rows([g]))[0]
 
     def act_row(self, g):
-        """x -> g . x over all points of X."""
+        """x -> g . x over all points of X.  Kept for perfbench's tracer, which
+        wraps it by name; act and the tests read it."""
         return self.inv_row(self.group.inv[g])
 
     def act(self, g, x):
@@ -223,14 +222,9 @@ def cached_action(G, kind):
     return cache[kind]
 
 
-def trivial_action(G, space=None):
-    space = space if space is not None else ProbabilitySpace.uniform(G.order)
-    rows = np.tile(np.arange(space.size), (G.order, 1))
-    return ActionTable(G, space, "custom", rows=rows, validate=False)
-
-
 def koopman_apply(a, g, f):
-    """(g . f)(x) = f(g^-1 . x); unitary on L2(X, nu)."""
+    """(g . f)(x) = f(g^-1 . x); unitary on L2(X, nu).  Only the tests and
+    perfbench's tracer, which wraps it by name, call it."""
     if f.space.size != a.space.size:
         raise SpaceMismatchError("observable not on the action's space")
     return Observable(f.space, f.values[a.inv_row(g)])

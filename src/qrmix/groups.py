@@ -21,7 +21,6 @@ VDC_EXACT_MAX = 512         # largest order whose van der Corput Gram matrix is 
 SAMPLE_FLOOR = {"mixing": 30, "recurrence": 1, "vdc": 1}
 SAMPLE_CEILING = 10**6      # sampled g (or (g, h) pairs) per check
 PASS_TOL = 1e-9
-AXIOM_SAMPLE_TRIPLES = 100_000  # associativity triples verify_group_axioms samples
 
 _INDEX_DTYPE = np.int64
 
@@ -64,6 +63,14 @@ def into(out, row):
     if out is not None and row is not out:
         out[...] = row
     return row if out is None else out
+
+
+def row_chunks(gs, width):
+    """gs in consecutive slices of max(1, ROW_BLOCK // width) entries (the
+    last may be shorter): the block length of every stream of rows of that
+    width, so a block holds about ROW_BLOCK values."""
+    B = max(1, ROW_BLOCK // width)
+    return (gs[s:s + B] for s in range(0, len(gs), B))
 
 
 def compose_rows(L, R):
@@ -418,7 +425,8 @@ class GroupTable:
 
     @classmethod
     def from_table(cls, table, desc="explicit"):
-        """Wrap a raw table without validation (see verify_group_axioms)."""
+        """Wrap a raw table without validation, to plant faults: only tests and
+        perfbench's selftest (a corrupted table) build one."""
         return cls(_Explicit(table), desc)
 
     def __repr__(self):
@@ -447,20 +455,19 @@ class GroupTable:
         return self.backend.mul_pairs(is_, js)
 
     def translates(self, gs, right=False):
-        """The rows y -> g y (y -> y g when right) for g in gs, in blocks of
-        B = max(1, ROW_BLOCK // |G|) rows (the last may be shorter), each a view
-        of one intp buffer that the next block overwrites.  A block is one
-        gather from the table, or from its transpose when right, else one
-        kernel call per row."""
-        gs = np.asarray(gs)
-        B = max(1, ROW_BLOCK // self.order)
-        buf = np.empty((min(B, len(gs)), self.order), dtype=np.intp)
+        """The rows y -> g y (y -> y g when right) for g in gs, in the blocks of
+        row_chunks(gs, |G|), each a view of one intp buffer that the next block
+        overwrites.  A block is one gather from the table, or from its
+        transpose when right, else one kernel call per row."""
         if right and self.table is not None and self._table_t is None:
             self._table_t = np.ascontiguousarray(self.table.T)   # row g: y -> y g
             self._table_t.flags.writeable = False
         table = self._table_t if right else self.table
-        for s in range(0, len(gs), B):
-            block, block_gs = buf[:min(B, len(gs) - s)], gs[s:s + B]
+        buf = None
+        for block_gs in row_chunks(np.asarray(gs), self.order):
+            if buf is None:
+                buf = np.empty((len(block_gs), self.order), dtype=np.intp)
+            block = buf[:len(block_gs)]
             if table is not None:
                 block[...] = table[block_gs]
             elif right:
@@ -667,89 +674,3 @@ def conjugacy_classes(G):
     )
     G._conjugacy = data
     return data
-
-
-# ---------------------------------------------------------------------------
-# axiom verification
-
-
-@dataclass
-class AxiomCheck:
-    name: str
-    ok: bool
-    witness: tuple = None
-
-
-@dataclass
-class AxiomReport:
-    checks: list
-
-    @property
-    def all_ok(self):
-        return all(c.ok for c in self.checks)
-
-    def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def verify_group_axioms(G):
-    """Check identity, inverses, associativity, and translation bijectivity.
-
-    Associativity is exhaustive for order <= 512 with a dense table and
-    checked on AXIOM_SAMPLE_TRIPLES random triples otherwise; translation
-    bijectivity is exhaustive for order <= 512 and checked on 64 random
-    elements above.  Failures come back as report entries with a witness,
-    never as exceptions.
-    """
-    n = G.order
-    xs = np.arange(n, dtype=_INDEX_DTYPE)
-    checks = []
-
-    e = G.identity
-    left = G.mul_vec(e, xs)
-    right = G.vec_mul(xs, e)
-    bad = np.nonzero((left != xs) | (right != xs))[0]
-    checks.append(AxiomCheck("identity", len(bad) == 0,
-                             (int(bad[0]),) if len(bad) else None))
-
-    prod = G.mul_pairs(xs, G.inv)
-    bad = np.nonzero(prod != e)[0]
-    checks.append(AxiomCheck("inverses", len(bad) == 0,
-                             (int(bad[0]),) if len(bad) else None))
-
-    witness = None
-    if n <= 512 and G.table is not None:
-        T = G.table
-        for g in range(n):
-            lhs = T[T[g], :]
-            rhs = T[g][T]
-            if not np.array_equal(lhs, rhs):
-                h, k = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                witness = (g, h, k)
-                break
-    else:
-        rng = np.random.default_rng(0)
-        gs, hs, ks = (rng.integers(0, n, AXIOM_SAMPLE_TRIPLES) for _ in range(3))
-        lhs = G.mul_pairs(G.mul_pairs(gs, hs), ks)
-        rhs = G.mul_pairs(gs, G.mul_pairs(hs, ks))
-        bad = np.nonzero(lhs != rhs)[0]
-        if len(bad):
-            t = int(bad[0])
-            witness = (int(gs[t]), int(hs[t]), int(ks[t]))
-    checks.append(AxiomCheck("associativity", witness is None, witness))
-
-    witness = None
-    sample = range(n) if n <= 512 else np.random.default_rng(1).integers(0, n, 64)
-    for g in sample:
-        g = int(g)
-        row = np.bincount(G.mul_vec(g, xs), minlength=n)
-        col = np.bincount(G.vec_mul(xs, g), minlength=n)
-        if row.max() != 1 or col.max() != 1:
-            witness = (g,)
-            break
-    checks.append(AxiomCheck("translation_bijectivity", witness is None, witness))
-
-    return AxiomReport(checks)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import (SpaceMismatchError, cached_action, gather_blocks, inner, invariant_projection,
-                      koopman_apply, random_observable)
+from .actions import (Observable, SpaceMismatchError, cached_action, gather_blocks, inner,
+                      invariant_projection, random_observable)
 from .characters import quasirandom_degree
 from .groups import EXACT_MAX_ORDER, PASS_TOL, check_samples, plan
 from .seeding import derive_seed
@@ -95,19 +95,22 @@ def mixing_bound_check(G, kind, trials, seed, mc_samples=2000, exact_max_order=E
 def reduction_identity_check(a, f1, f2, gs):
     """Both sides of <f1, g.f2>_X = int_X <f1^(x), g.r f2^(x)>_G dnu(x).
 
-    The right side builds the fiber observables f^(x)(h) = f(h^-1 . x)
-    explicitly, once per call, and pairs them under the right translation,
-    an independent code path from the left side.  Returns (lhs, rhs,
-    discrepancy) for one g, and a list of them when gs is a sequence.
+    The left side reads g . f2 from the action's rows in one pass.  The right
+    side builds the fiber observables f^(x)(h) = f(h^-1 . x) once per call and
+    pairs them under the right translation h -> hg, an independent code path.
+    Returns (lhs, rhs, discrepancy) for one g, and a list of them when gs is a
+    sequence.
     """
     G = a.group
     M = a.inv_rows_matrix()           # M[h, x] = h^-1 . x
     F1 = f1.values[M]                 # column x is the fiber f1^(x) on G
     F2 = f2.values[M]
+    g_all = np.atleast_1d(gs)
+    moved = (row for (A,) in gather_blocks(a.inv_rows(g_all), f2.values) for row in A)
+    sigmas = (row for S in G.translates(g_all, right=True) for row in S)
     out = []
-    for g in np.atleast_1d(gs).tolist():
-        lhs = inner(a.space, f1, koopman_apply(a, g, f2))
-        sigma = G.vec_mul(None, g)    # h -> hg
+    for gf2, sigma in zip(moved, sigmas):
+        lhs = inner(a.space, f1, Observable(f2.space, gf2))
         T = F1 * np.conj(F2[sigma]) * a.space.weights[None, :]
         rhs = complex(T.sum()) / G.order
         out.append((lhs, rhs, abs(lhs - rhs)))

@@ -363,7 +363,7 @@ def _row(num, c):
             "pass": _fmt(bool(c.passed))}
 
 
-def run_verify(out_dir, master_seed=0, profile="full", inflate_d=0, echo=print):
+def run_verify(out_dir, master_seed=0, profile="full", inflate_d=0):
     """Run the verification battery; returns process exit status (0/1)."""
     if profile not in PROFILES:
         raise ValueError("profile must be one of %s" % ", ".join(PROFILES))
@@ -392,7 +392,7 @@ def run_verify(out_dir, master_seed=0, profile="full", inflate_d=0, echo=print):
         ok = all(c.passed for c in out.rows)
         all_rows.extend(_row(num, c) for c in out.rows)
         summary["criteria"][str(num)] = {"name": name, "pass": ok}
-        echo("%s  criterion %2d: %s" % ("PASS" if ok else "FAIL", num, name))
+        print("%s  criterion %2d: %s" % ("PASS" if ok else "FAIL", num, name))
         if not ok:
             status = 1
     summary["all_pass"] = status == 0

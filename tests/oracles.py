@@ -1,8 +1,10 @@
-"""Independent reference implementations used as test oracles.
+"""Test oracles and fixtures that the package itself never runs.
 
-Everything here recomputes quantities from first principles (brute-force
-enumeration, dense float linear algebra) without touching the package's own
-algorithms beyond the element-index interface.
+The oracles recompute quantities from first principles (brute-force
+enumeration, dense float linear algebra, the group axioms, Bessel's
+inequality) without touching the package's own algorithms beyond the
+element-index interface.  The fixtures build inputs for the tests (the
+trivial action) and load perfbench's modules by path.
 """
 
 import importlib.util
@@ -10,10 +12,15 @@ import itertools
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from qrmix import conjugacy_classes
+from qrmix import ActionTable, PreconditionError, ProbabilitySpace, conjugacy_classes, inner
+from qrmix.groups import PASS_TOL
+from qrmix.recurrence import IDENTITY_TOL
+
+AXIOM_SAMPLE_TRIPLES = 100_000  # associativity triples verify_group_axioms samples
 
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -149,3 +156,127 @@ def projection_by_group_average(a, f):
     for g in range(G.order):
         acc += f.values[a.act_row(int(G.inv[g]))]
     return acc / G.order
+
+
+def trivial_action(G):
+    """The custom action of G on itself in which every g fixes every point."""
+    space = ProbabilitySpace.uniform(G.order)
+    return ActionTable(G, space, "custom", rows=np.tile(np.arange(space.size), (G.order, 1)))
+
+
+# ---------------------------------------------------------------------------
+# group axioms
+
+
+@dataclass
+class AxiomCheck:
+    name: str
+    ok: bool
+    witness: tuple = None
+
+
+@dataclass
+class AxiomReport:
+    checks: list
+
+    @property
+    def all_ok(self):
+        return all(c.ok for c in self.checks)
+
+    def __getitem__(self, name):
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+
+def verify_group_axioms(G):
+    """Check identity, inverses, associativity, and translation bijectivity.
+
+    Associativity is exhaustive for order <= 512 with a dense table and
+    checked on AXIOM_SAMPLE_TRIPLES random triples otherwise; translation
+    bijectivity is exhaustive for order <= 512 and checked on 64 random
+    elements above.  Failures come back as report entries with a witness,
+    never as exceptions.
+    """
+    n = G.order
+    xs = np.arange(n, dtype=np.int64)
+    checks = []
+
+    e = G.identity
+    left = G.mul_vec(e, xs)
+    right = G.vec_mul(xs, e)
+    bad = np.nonzero((left != xs) | (right != xs))[0]
+    checks.append(AxiomCheck("identity", len(bad) == 0,
+                             (int(bad[0]),) if len(bad) else None))
+
+    prod = G.mul_pairs(xs, G.inv)
+    bad = np.nonzero(prod != e)[0]
+    checks.append(AxiomCheck("inverses", len(bad) == 0,
+                             (int(bad[0]),) if len(bad) else None))
+
+    witness = None
+    if n <= 512 and G.table is not None:
+        T = G.table
+        for g in range(n):
+            lhs = T[T[g], :]
+            rhs = T[g][T]
+            if not np.array_equal(lhs, rhs):
+                h, k = (int(v) for v in np.argwhere(lhs != rhs)[0])
+                witness = (g, h, k)
+                break
+    else:
+        rng = np.random.default_rng(0)
+        gs, hs, ks = (rng.integers(0, n, AXIOM_SAMPLE_TRIPLES) for _ in range(3))
+        lhs = G.mul_pairs(G.mul_pairs(gs, hs), ks)
+        rhs = G.mul_pairs(gs, G.mul_pairs(hs, ks))
+        bad = np.nonzero(lhs != rhs)[0]
+        if len(bad):
+            t = int(bad[0])
+            witness = (int(gs[t]), int(hs[t]), int(ks[t]))
+    checks.append(AxiomCheck("associativity", witness is None, witness))
+
+    witness = None
+    sample = range(n) if n <= 512 else np.random.default_rng(1).integers(0, n, 64)
+    for g in sample:
+        g = int(g)
+        row = np.bincount(G.mul_vec(g, xs), minlength=n)
+        col = np.bincount(G.vec_mul(xs, g), minlength=n)
+        if row.max() != 1 or col.max() != 1:
+            witness = (g,)
+            break
+    checks.append(AxiomCheck("translation_bijectivity", witness is None, witness))
+
+    return AxiomReport(checks)
+
+
+# ---------------------------------------------------------------------------
+# Bessel's inequality
+
+
+@dataclass
+class BesselResult:
+    sum_of_squares: float
+    norm_sq: float
+
+    @property
+    def passed(self):
+        return self.sum_of_squares <= self.norm_sq + PASS_TOL
+
+
+def bessel_check(vectors, f):
+    """Finite Bessel inequality sum |<f, e>|^2 / ||e||^2 <= ||f||^2."""
+    space = f.space
+    for i, e_i in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            e_j = vectors[j]
+            ip = inner(space, e_i, e_j)
+            if abs(ip) > IDENTITY_TOL * max(1.0, e_i.norm2 * e_j.norm2):
+                raise PreconditionError(
+                    "family is not pairwise orthogonal: |<e_%d, e_%d>| = %.3g" % (i, j, abs(ip)))
+    total = 0.0
+    for e in vectors:
+        nrm = e.norm2
+        if nrm > 0:
+            total += abs(inner(space, f, e)) ** 2 / nrm ** 2
+    return BesselResult(sum_of_squares=total, norm_sq=f.norm2 ** 2)

@@ -17,11 +17,11 @@ from qrmix import (
     invariant_projection,
     koopman_apply,
     random_observable,
-    trivial_action,
 )
 from qrmix.groups import ROW_BLOCK
 
 import oracles
+from oracles import trivial_action
 
 
 def _rand(space, seed):

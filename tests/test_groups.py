@@ -12,11 +12,11 @@ from qrmix import (
     build_group,
     conjugacy_classes,
     parse_descriptor,
-    verify_group_axioms,
 )
 from qrmix.groups import check_samples, class_count, plan
 
 import oracles
+from oracles import verify_group_axioms
 
 SMALL_DESCS = ["cyclic:1", "cyclic:7", "dihedral:4", "symmetric:3", "symmetric:4",
                "psl2:5", "sl2:5", "product:cyclic:2,symmetric:3"]

@@ -18,8 +18,9 @@ from qrmix import (
     quasirandom_degree,
     random_observable,
     reduction_identity_check,
-    trivial_action,
 )
+
+from oracles import trivial_action
 
 
 def _pair(space, seed):

@@ -11,7 +11,6 @@ from qrmix import (
     PreconditionError,
     ProbabilitySpace,
     VectorFamily,
-    bessel_check,
     build_group,
     cached_action,
     case_decomposition,
@@ -26,6 +25,8 @@ from qrmix import (
     vdc_check,
 )
 from qrmix.groups import ROW_BLOCK
+
+from oracles import bessel_check
 
 
 def _real(space, seed):
@@ -151,6 +152,26 @@ def test_case_decomposition_norm_facts_enforced():
     eps = quasirandom_eps(G)
     assert case_i <= eps + 1e-9
     assert case_ii <= math.sqrt(5 * eps) + 1e-9
+
+
+def test_recurrence_refuses_a_projection_that_breaks_the_norm_facts(monkeypatch):
+    """A conjugation projection that doubles its result breaks
+    ||P_c f3||_inf <= ||f3||_inf, and triple_recurrence_error refuses it."""
+    import qrmix.recurrence as recurrence
+
+    project = recurrence.invariant_projection
+
+    def doubled(a, f):
+        p = project(a, f)
+        return p * 2.0 if a.kind == "conjugation" else p
+
+    monkeypatch.setattr(recurrence, "invariant_projection", doubled)
+    G = build_group("sl2:5")
+    space = ProbabilitySpace.uniform(G.order)
+    f1, f2, _ = _triple(space, 76)
+    f3 = Observable(space, np.exp(1j * conjugacy_classes(G).class_of))   # P_c f3 = f3
+    with pytest.raises(PreconditionError, match="L-infinity"):
+        triple_recurrence_error(G, f1, f2, f3)
 
 
 def quasirandom_eps(G):

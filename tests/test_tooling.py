@@ -1,5 +1,6 @@
 """The span tracer in perfbench/ wraps qrmix functions and methods by name;
-every name it lists must exist in the package."""
+every name it lists must exist in the package, as must every name the
+package exports."""
 
 import importlib
 
@@ -18,6 +19,15 @@ def test_traced_function_exists(module, name):
 @pytest.mark.parametrize("module, cls, method", tracer.METHODS, ids=[".".join(m) for m in tracer.METHODS])
 def test_traced_method_exists(module, cls, method):
     assert callable(getattr(getattr(importlib.import_module("qrmix." + module), cls), method))
+
+
+def test_star_import_resolves_every_export():
+    import qrmix
+
+    namespace = {}
+    exec("from qrmix import *", namespace)
+    for name in qrmix.__all__:
+        assert namespace[name] is getattr(qrmix, name), name
 
 
 def test_benchmark_battery_passes_its_oracles():
