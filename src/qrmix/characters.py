@@ -14,6 +14,12 @@ eigenvector, and its 0, 1 and -1 eigenspaces split the space for the first
 a = 0, 1, ... that separates two eigenvalues.  Each common eigenvector is
 proportional to a character's central idempotent, so the central character
 w is read off the vector itself.
+
+Products over F_q run as float64 matrix products (BLAS) and are exact: with
+residues below q and inner size k, every partial sum is an integer of at
+most k (q - 1)^2, and when that is below 2^53 the float64 sums are exact in
+any order.  Above it they run as int64 products, without BLAS.  So the
+degrees do not depend on the BLAS build or its thread count.
 """
 
 from __future__ import annotations
@@ -52,26 +58,32 @@ def check_class_count(k):
     return k
 
 
-def class_matrix(G, C, i):
-    """M_i[l, j] = a[i, j, l], multiplication by class sum i on class-sum
-    coordinates, as exact integers.  |C_l| a[i, j, l] counts the pairs
-    (x, y) in C_i x C_j with xy in C_l, which is |C_i| #{y in C_j : x_i y in C_l}
-    for the representative x_i: one row of the group."""
-    k = C.k
-    row = G.mul_vec(C.representatives[i])
-    counts = np.bincount(C.class_of * k + C.class_of[row], minlength=k * k).reshape(k, k)
-    num = C.class_sizes[i] * counts.T                 # [l, j]
+def class_matrices(G, C, classes):
+    """Yield M_i for i in classes, M_i[l, j] = a[i, j, l], multiplication by
+    class sum i on class-sum coordinates, as exact integers.  |C_l| a[i, j, l]
+    counts the pairs (x, y) in C_i x C_j with xy in C_l, which is
+    |C_i| #{y in C_j : x_i y in C_l} for the representative x_i: one row of
+    the group each.  An int16 copy of the class table and the int32 codes
+    k class_of(y) are built once per call (k <= MAX_CLASSES) and dropped with
+    the generator."""
+    k = check_class_count(C.k)
+    narrow = C.class_of.astype(np.int16)
+    codes = narrow.astype(np.int32) * k
     sizes = np.asarray(C.class_sizes)[:, None]
-    if np.any(num % sizes):
-        raise CharacterError("class %d's structure constants are not integers "
-                             "(the table is not a group)" % i)
-    return num // sizes
+    for i in classes:
+        row = G.mul_vec(C.representatives[i])
+        counts = np.bincount(codes + narrow.take(row), minlength=k * k).reshape(k, k)
+        num = C.class_sizes[i] * counts.T                 # [l, j]
+        if np.any(num % sizes):
+            raise CharacterError("class %d's structure constants are not integers "
+                                 "(the table is not a group)" % i)
+        yield num // sizes
 
 
 def class_constants(G, C=None):
     """Exact integer structure constants of the class algebra."""
     C = C if C is not None else conjugacy_classes(G)
-    return ClassConstants(k=C.k, a=np.stack([class_matrix(G, C, i).T for i in range(C.k)]))
+    return ClassConstants(k=C.k, a=np.stack([M.T for M in class_matrices(G, C, range(C.k))]))
 
 
 def group_exponent(G, C=None):
@@ -102,43 +114,60 @@ def _dixon_prime(exponent, order):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_q: a product mod q sums at most k products of residues,
-# so character_degrees requires k (q - 1)^2 < 2^63
+# linear algebra over F_q on residue matrices: int64 entries in [0, q),
+# q < 2^31.  character_degrees also refuses k (q - 1)^2 >= 2^63, the bound on
+# a sum of k products of residues in int64.
+
+
+def _mulmod(A, B, q):
+    """A @ B % q, exact, for residue matrices with k (q - 1)^2 < 2^63 (k the
+    inner size).
+
+    When k (q - 1)^2 < 2^53 every partial sum is an integer below 2^53, so one
+    float64 product is exact whatever the summation order or the BLAS thread
+    count.  Otherwise the int64 product, which numpy runs without BLAS.
+    """
+    if A.shape[-1] * (q - 1) ** 2 < 2**53:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % q
+    return A @ B % q
 
 
 def _rref(A, q):
-    A = A.copy() % q
+    """Reduced row-echelon form of the residue matrix A over F_q, and its
+    pivot columns.  Each pivot is the first nonzero column of the rows not
+    yet reduced, and elimination stops once those rows are zero.  Row r is
+    zero left of its pivot c, so its update touches columns c onward only."""
+    A = A % q
     rows, cols = A.shape
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    c = 0
+    for r in range(rows):
+        nz = np.flatnonzero(A[r:, c:].any(axis=0))
+        if not len(nz):
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        lead = r + int(nz[0])
+        c += int(nz[0])
+        lead = r + int(np.argmax(A[r:, c] != 0))
         if lead != r:
             A[[r, lead]] = A[[lead, r]]
-        A[r] = A[r] * pow(int(A[r, c]), q - 2, q) % q
-        mask = np.ones(rows, dtype=bool)
-        mask[r] = False
-        A[mask] = (A[mask] - np.outer(A[mask, c], A[r])) % q
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), q - 2, q) % q
+        f = A[:, c].copy()
+        f[r] = 0
+        A[:, c:] -= np.outer(f, A[r, c:])
+        A[:, c:] %= q
         pivots.append(c)
-        r += 1
-    return A[:r], pivots
+        c += 1
+    return A[:len(pivots)], pivots
 
 
 def _nullspace(A, q):
     """Rows form a basis of the right kernel of A (one per free column, not in rref)."""
     R, pivots = _rref(A, q)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for t, c in enumerate(free):
-        basis[t, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[t, pc] = (-R[r, c]) % q
+    free = np.ones(A.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -R[:, free].T % q
     return basis
 
 
@@ -147,8 +176,8 @@ def _matpow(A, e, q):
     out = np.eye(len(A), dtype=np.int64)
     while e:
         if e & 1:
-            out = out @ A % q
-        A = A @ A % q
+            out = _mulmod(out, A, q)
+        A = _mulmod(A, A, q)
         e >>= 1
     return out
 
@@ -174,9 +203,9 @@ def _split_spaces(mats, q):
             if d == 1:
                 done.append(B)
                 continue
-            W = B @ M.T % q
+            W = _mulmod(B, M.T, q)
             R = W[:, np.argmax(B != 0, axis=1)]  # coords in B's rows (B is in rref, M-invariant)
-            if not np.array_equal(R @ B % q, W):
+            if not np.array_equal(_mulmod(R, B, q), W):
                 raise CharacterError("subspace not invariant (implementation bug)")
             eye = np.eye(d, dtype=np.int64)
             if np.array_equal(R, R[0, 0] * eye):
@@ -193,7 +222,7 @@ def _split_spaces(mats, q):
                     raise CharacterError("kernels do not span the space: "
                                          "the class matrix does not split over F_%d" % q)
                 if len(parts) > 1:
-                    todo += [_rref(c @ B % q, q)[0] for c in parts]
+                    todo += [_rref(_mulmod(c, B, q), q)[0] for c in parts]
                     break
             else:
                 raise CharacterError("eigenspace splitting stalled (implementation bug)")
@@ -220,7 +249,7 @@ def character_degrees(G):
     if k * (q - 1) ** 2 >= 2**63:
         raise CharacterError("k (q-1)^2 >= 2^63 at k = %d, q = %d: int64 overflow" % (k, q))
     e = int(C.class_of[G.identity])     # its class matrix is I, which splits nothing
-    vectors = _split_spaces((class_matrix(G, C, i) % q for i in range(k) if i != e), q)
+    vectors = _split_spaces((M % q for M in class_matrices(G, C, (i for i in range(k) if i != e))), q)
     inv_class = C.class_of[G.inv[C.representatives]]
     sizes = np.asarray(C.class_sizes, dtype=np.int64) % q
     size_inv = np.array([pow(int(s), q - 2, q) for s in sizes], dtype=np.int64)

@@ -130,7 +130,7 @@ def triple_product_average(G, f1, f2, f3, g):
     return complex(np.sum(f1.values * f2.values[lrow] * f3.values[crow] * w))
 
 
-def _triple_errors(G, f1, f2, f3, gs):
+def _triple_errors(G, f1, f2, f3, gs, f3_inf):
     """Per-g total/case-i/case-ii deviations, averaged over gs (None: every g).
 
     With y = g^-1 x the triple average is avg_y f1(gy) f2(y) f3(yg), from the
@@ -138,11 +138,12 @@ def _triple_errors(G, f1, f2, f3, gs):
     for f3; P_c f3 is constant on classes and gy = g (yg) g^-1, so it reads
     avg_y h(gy) f2(y) with h = f1 P_c f3.  Case ii, with f3 - P_c f3, is the
     total less case i.  The case bounds rest on ||P_c f3||_inf <= ||f3||_inf
-    and ||f3 - P_c f3||_2 <= ||f3||_2: a PreconditionError if either fails.
+    (f3_inf) and ||f3 - P_c f3||_2 <= ||f3||_2: a PreconditionError if either
+    fails.
     """
     pl2 = invariant_projection(cached_action(G, "left"), f2)
     pc3 = invariant_projection(cached_action(G, "conjugation"), f3)
-    if pc3.norm_inf > f3.norm_inf + NORM_TOL:
+    if pc3.norm_inf > f3_inf + NORM_TOL:
         raise PreconditionError("projection increased the L-infinity norm")
     if (f3 - pc3).norm2 > f3.norm2 + NORM_TOL:
         raise PreconditionError("projection residual increased the L2 norm")
@@ -161,19 +162,22 @@ def _triple_errors(G, f1, f2, f3, gs):
 
 
 def _triple_gs(G, f1, f2, f3, mode, samples, seed):
-    """Check a triple's inputs; the g to average over (None: every g)."""
+    """Check a triple's inputs; the g to average over (None: every g) and
+    ||f3||_inf."""
     fs = ((f1, "f1"), (f2, "f2"), (f3, "f3"))
     for f, name in fs:
         _check_space(G, f, name)
-    for f, name in fs:
-        if f.norm_inf > 1.0 + NORM_TOL:
+    norms = [f.norm_inf for f, _ in fs]
+    for (_, name), norm in zip(fs, norms):
+        if norm > 1.0 + NORM_TOL:
             raise PreconditionError("%s violates the L-infinity <= 1 precondition "
-                                    "(norm %.6g)" % (name, f.norm_inf))
+                                    "(norm %.6g)" % (name, norm))
     if mode not in ("exact", "monte_carlo"):
         raise ValueError("mode must be exact or monte_carlo")
     samples = plan("recurrence", G.desc, G.order, samples, seed,
                    exact_max_order=G.order if mode == "exact" else 0)
-    return None if samples is None else np.random.default_rng(seed).integers(0, G.order, samples)
+    gs = None if samples is None else np.random.default_rng(seed).integers(0, G.order, samples)
+    return gs, norms[2]
 
 
 def triple_recurrence_error(G, f1, f2, f3, mode="exact", samples=None, seed=None):
@@ -182,10 +186,10 @@ def triple_recurrence_error(G, f1, f2, f3, mode="exact", samples=None, seed=None
     mode "exact" sums over every g; "monte_carlo" uses a seeded sample of
     g with exact inner sums.
     """
-    gs = _triple_gs(G, f1, f2, f3, mode, samples, seed)
+    gs, f3_inf = _triple_gs(G, f1, f2, f3, mode, samples, seed)
     D = quasirandom_degree(G)
     eps = 1.0 / math.sqrt(D)
-    total, case_i, case_ii = _triple_errors(G, f1, f2, f3, gs)
+    total, case_i, case_ii = _triple_errors(G, f1, f2, f3, gs, f3_inf)
     return RecurrenceReport(
         group=G.desc,
         D=D,
@@ -206,8 +210,8 @@ def case_decomposition(G, f1, f2, f3, mode="exact", samples=None, seed=None):
     """(case i error, case ii error) for the split f3 = P_c f3 + (f3 - P_c f3),
     as triple_recurrence_error reports them; kept because perfbench's tracer
     wraps it by name."""
-    gs = _triple_gs(G, f1, f2, f3, mode, samples, seed)
-    return _triple_errors(G, f1, f2, f3, gs)[1:]
+    gs, f3_inf = _triple_gs(G, f1, f2, f3, mode, samples, seed)
+    return _triple_errors(G, f1, f2, f3, gs, f3_inf)[1:]
 
 
 def correlation_family(G, f2, f3):

@@ -133,6 +133,27 @@ def dihedral_degrees(n):
     return (1,) * 4 + (2,) * ((n - 2) // 2)
 
 
+def rref_mod_q(A, q):
+    """Reduced row-echelon form over F_q and its pivot columns, by textbook
+    Gauss-Jordan elimination on Python integers, one entry at a time."""
+    R = [[int(x) % q for x in row] for row in A]
+    pivots = []
+    for c in range(len(R[0]) if R else 0):
+        r = len(pivots)
+        lead = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if lead is None:
+            continue
+        R[r], R[lead] = R[lead], R[r]
+        inv = pow(R[r][c], q - 2, q)
+        R[r] = [x * inv % q for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % q for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    return R[:len(pivots)], pivots
+
+
 def element_order(G, i):
     """Order of element i, by multiplying by i until the identity comes back."""
     k, x = 1, int(i)

@@ -13,7 +13,7 @@ from qrmix import (
     quasirandom_degree,
 )
 from qrmix import GroupTable, characters
-from qrmix.groups import ConjugacyData
+from qrmix.groups import ConjugacyData, _is_prime
 
 import oracles
 
@@ -108,6 +108,67 @@ def test_split_refuses_matrix_that_does_not_split():
     for q in (3, 5):
         with pytest.raises(CharacterError, match="does not split"):
             characters._split_spaces([M], q)
+
+
+@pytest.mark.parametrize("q, k", [(421, 162), (3_194_017, 101), (2**27 - 39, 101)])
+def test_mulmod_matches_exact_integer_product(q, k):
+    # (421, 162) is the k = 162 product's prime and class count, (3194017, 101)
+    # sl2:97's: both one float64 product.  The last has 2^53 <= k (q - 1)^2 < 2^63
+    # and takes the int64 product.  All-(q - 1) matrices give the largest sums
+    rng = np.random.default_rng(q)
+    for A, B in [(rng.integers(0, q, (4, k)), rng.integers(0, q, (k, 5))),
+                 (np.full((3, k), q - 1), np.full((k, 2), q - 1))]:
+        want = (A.astype(object) @ B.astype(object)) % q
+        got = characters._mulmod(A, B, q)
+        assert got.dtype == np.int64 and np.array_equal(got, want.astype(np.int64))
+
+
+@pytest.mark.parametrize("q, shape, rank, zero_col", [
+    (421, (12, 9), 4, 2), (421, (5, 12), 3, 0), (421, (9, 9), 9, None),
+    (7, (10, 10), 6, 9), (3_194_017, (8, 8), 5, 4), (421, (6, 7), 0, None)])
+def test_rref_and_nullspace_of_rank_deficient_matrices(q, shape, rank, zero_col):
+    # A = X Y over F_q has rank <= rank; a zero column of Y is a free column
+    rng = np.random.default_rng(rank * 1000 + shape[0])
+    Y = rng.integers(0, q, (rank, shape[1]))
+    if zero_col is not None:
+        Y[:, zero_col] = 0
+    A = rng.integers(0, q, (shape[0], rank)) @ Y % q
+    R, pivots = characters._rref(A, q)
+    want, want_pivots = oracles.rref_mod_q(A, q)
+    assert pivots == want_pivots and R.tolist() == want
+    assert pivots == sorted(set(pivots)) and np.array_equal(R[:, pivots], np.eye(len(pivots)))
+    assert all(not R[i, :c].any() for i, c in enumerate(pivots))
+    basis = characters._nullspace(A, q)
+    assert not (A.astype(object) @ basis.T.astype(object) % q).any()
+    assert len(pivots) + len(basis) == shape[1]
+
+
+def test_degrees_on_int64_products(monkeypatch):
+    # a prime q = 1 (mod exponent) above 2^27 puts every product of the split
+    # on int64, (q - 1)^2 >= 2^53, and passes the guard k (q - 1)^2 < 2^63
+    def large_prime(exponent, order):
+        q = (2**27 // exponent + 1) * exponent + 1
+        while not _is_prime(q):
+            q += exponent
+        return q
+
+    monkeypatch.setattr(characters, "_dixon_prime", large_prime)
+    for desc in ["sl2:5", "psl2:7", "symmetric:4"]:
+        G = build_group(desc)
+        k = conjugacy_classes(G).k
+        q = characters._dixon_prime(group_exponent(G), G.order)
+        assert 2**53 <= (q - 1) ** 2 and k * (q - 1) ** 2 < 2**63
+        assert list(character_degrees(G).degrees) == closed_forms.degrees(closed_forms.parse(desc))
+
+
+def test_degrees_of_the_largest_benchmark_split():
+    # k = 162 classes: the degrees-large workload's product, pairwise products of
+    # sl2:5's closed-form degrees (twice) and cyclic:2's
+    G = build_group("product:sl2:5,product:sl2:5,cyclic:2")
+    sl2 = closed_forms.degrees(closed_forms.parse("sl2:5"))
+    assert conjugacy_classes(G).k == 162
+    assert list(character_degrees(G).degrees) == sorted(a * b * c for a in sl2 for b in sl2
+                                                        for c in (1, 1))
 
 
 def test_degrees_refuse_prime_that_overflows_int64(monkeypatch):

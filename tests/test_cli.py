@@ -362,15 +362,18 @@ def test_plotdata_missing_file_exits_2(tmp_path, capsys):
 
 
 def _run_qrmix(argv, out_dir, blas_threads="1"):
+    """Run qrmix in a fresh process, with --out unless out_dir is None; its stdout."""
     here = os.path.dirname(os.path.abspath(__file__))
     threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), blas_threads)
     env = dict(os.environ, **threads,
                PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"),
                                            os.environ.get("PYTHONPATH", "")]))
     # the timeout fails a run that hangs instead of stalling the suite
-    run = subprocess.run([sys.executable, "-m", "qrmix", *argv, "--out", str(out_dir)],
+    out = () if out_dir is None else ("--out", str(out_dir))
+    run = subprocess.run([sys.executable, "-m", "qrmix", *argv, *out],
                          env=env, capture_output=True, timeout=300)
     assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -397,10 +400,16 @@ def test_outputs_match_golden_files(tmp_path, argv, files):
 
 
 def _assert_same_bytes_at_one_and_two_threads(tmp_path, argv, name):
+    """The file name, or stdout when name is None, is the same at 1 and 2 threads."""
+    outputs = []
     for threads in ("1", "2"):
-        (tmp_path / threads).mkdir()
-        _run_qrmix(argv, tmp_path / threads, threads)
-    assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        if name is None:
+            outputs.append(_run_qrmix(argv, None, threads))
+        else:
+            (tmp_path / threads).mkdir()
+            _run_qrmix(argv, tmp_path / threads, threads)
+            outputs.append((tmp_path / threads / name).read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -416,7 +425,8 @@ def test_sampled_outputs_independent_of_blas_threads(tmp_path, argv, name):
     (("mixing", "-g", "sl2:13", "--action", "conjugation", "--trials", "3", "--seed", "7"),
      "mixing.csv"),
     (("vdc", "-g", "sl2:11", "--trials", "2", "--mc", "100", "--seed", "1"), "vdc.csv"),
-], ids=["mixing-sl2:13-conjugation", "vdc-sl2:11"])
+    (("degrees", "-g", "product:sl2:5,product:sl2:5,cyclic:2"), None),
+], ids=["mixing-sl2:13-conjugation", "vdc-sl2:11", "degrees-product-k162"])
 def test_exact_outputs_independent_of_blas_threads(tmp_path, argv, name):
     _assert_same_bytes_at_one_and_two_threads(tmp_path, argv, name)
 

@@ -174,6 +174,33 @@ def test_recurrence_refuses_a_projection_that_breaks_the_norm_facts(monkeypatch)
         triple_recurrence_error(G, f1, f2, f3)
 
 
+@pytest.mark.parametrize("f1_weights", ["uniform", "identity"])
+def test_recurrence_refuses_a_projection_residual_longer_than_f3(monkeypatch, f1_weights):
+    """A conjugation projection that negates f3 keeps ||P_c f3||_inf but makes
+    the residual 2 f3, and the L2 guard refuses it; a residual norm read off
+    ||f3||^2 - ||P_c f3||^2 would not.  The guard measures with f3's weights:
+    f3 vanishes on the identity, so f1 on the point mass there would see a
+    residual of norm 0."""
+    import qrmix.recurrence as recurrence
+
+    project = recurrence.invariant_projection
+
+    def negated(a, f):
+        p = project(a, f)
+        return p * -1.0 if a.kind == "conjugation" else p
+
+    monkeypatch.setattr(recurrence, "invariant_projection", negated)
+    G = build_group("sl2:5")
+    space = ProbabilitySpace.uniform(G.order)
+    _, f2, _ = _triple(space, 76)
+    point = ProbabilitySpace(np.eye(G.order)[G.identity])
+    f1 = random_observable(space if f1_weights == "uniform" else point, 76)
+    class_of = conjugacy_classes(G).class_of
+    f3 = Observable(space, np.exp(1j * class_of) * (class_of != class_of[G.identity]))  # P_c f3 = f3
+    with pytest.raises(PreconditionError, match="L2"):
+        triple_recurrence_error(G, f1, f2, f3)
+
+
 def quasirandom_eps(G):
     from qrmix import quasirandom_degree
     return 1.0 / math.sqrt(quasirandom_degree(G))
