@@ -1,7 +1,8 @@
 """Finite groups as dense index structures with normalized counting measure.
 
-Elements are indices 0..n-1.  Small groups carry a full multiplication
-table; large groups (matrix / permutation families) multiply through their
+Elements are indices 0..n-1.  Groups of order up to DENSE_LIMIT carry a full
+int16 multiplication table, its rows composed from the generators' kernel
+rows; larger groups (matrix / permutation families) multiply through their
 canonical forms with vectorized numpy kernels and a memoized inverse table.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ORDER = 2_000_000
-DENSE_LIMIT = 4096          # dense table and every-g vdc integral up to this order
+DENSE_LIMIT = 4096          # dense int16 table and every-g vdc integral up to this order
 ROW_BLOCK = 1 << 16         # elements per block of translates and gather_blocks
 EXACT_MAX_ORDER = 3000      # default largest order that mixing and recurrence average exactly
 VDC_EXACT_MAX = 512         # largest order whose van der Corput Gram matrix is formed
@@ -119,6 +120,34 @@ class _Backend:
 
     def label(self, i):
         raise NotImplementedError
+
+    def dense_table(self):
+        """The int16 table whose row g is mul_vec(g, None), composed from the
+        generators' rows: the row of h s is row h taken at s's row, since
+        (h s) x = h (s x).  Rows are filled level by level out from the
+        identity, one take per generator per level; the kernel runs only at
+        the generators."""
+        n, e = self.n, self.identity
+        table = np.empty((n, n), dtype=np.int16)
+        table[e] = np.arange(n)
+        reached = np.zeros(n, dtype=bool)
+        reached[e] = True
+        gens = [(s, self.mul_vec(s, None)) for s in self.generators()]
+        frontier = np.array([e])
+        while len(frontier):
+            next_level = []
+            for s, row in gens:
+                hs = table[frontier, s]          # h s, read from the rows of h
+                new = ~reached[hs]
+                hs, hs_from = hs[new], frontier[new]
+                reached[hs] = True
+                table[hs] = table[hs_from].take(row, axis=1)
+                next_level.append(hs)
+            frontier = np.concatenate([frontier[:0], *next_level])
+        if not reached.all():
+            raise GroupConstructionError("the generators reach %d of the %d elements"
+                                         % (np.count_nonzero(reached), n))
+        return table
 
 
 class _Cyclic(_Backend):
@@ -378,6 +407,11 @@ class _Explicit(_Backend):
         inv[rows] = cols
         return inv
 
+    def dense_table(self):
+        """The raw table as planted, narrowed to int16: composing rows would
+        assume the associativity a planted fault may break."""
+        return self.table.astype(np.int16)
+
     def generators(self):
         """The smallest element outside the subgroup generated so far, until
         that subgroup is the whole group."""
@@ -414,9 +448,7 @@ class GroupTable:
         self.inv = backend.inv_all()
         self.table = None
         if self.order <= DENSE_LIMIT:
-            self.table = np.empty((self.order, self.order), dtype=np.int32)
-            for g in range(self.order):
-                self.table[g] = backend.mul_vec(g, None)
+            self.table = backend.dense_table()
             self.table.flags.writeable = False
         self._table_t = None     # the table's transpose, built on first use
         # downstream caches (conjugacy data, degrees) live on the instance
@@ -426,7 +458,9 @@ class GroupTable:
     @classmethod
     def from_table(cls, table, desc="explicit"):
         """Wrap a raw table without validation, to plant faults: only tests and
-        perfbench's selftest (a corrupted table) build one."""
+        perfbench's selftest (a corrupted table) build one.  Up to DENSE_LIMIT
+        G.table is the raw table entry for entry (as int16), never recomposed
+        from generators, so a planted fault reaches the checks as planted."""
         return cls(_Explicit(table), desc)
 
     def __repr__(self):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qrmix import (
     conjugacy_classes,
     parse_descriptor,
 )
-from qrmix.groups import check_samples, class_count, plan
+from qrmix.groups import DENSE_LIMIT, _Cyclic, check_samples, class_count, plan
 
 import oracles
 from oracles import verify_group_axioms
@@ -156,6 +157,64 @@ def test_inverse_antihomomorphism(desc, a, b):
     G = build_group(desc)
     g, h = a % G.order, b % G.order
     assert int(G.inv[G.mul(g, h)]) == G.mul(int(G.inv[h]), int(G.inv[g]))
+
+
+# ---------------------------------------------------------------------------
+# dense tables: int16 rows composed from the generators' kernel rows
+
+
+@pytest.mark.parametrize("desc", ["cyclic:1", "cyclic:4096", "dihedral:1", "dihedral:2048",
+                                  "symmetric:1", "symmetric:6", "sl2:3", "psl2:5", "sl2:13",
+                                  "product:cyclic:1,cyclic:1",
+                                  "product:dihedral:4,product:cyclic:3,psl2:5"])
+def test_dense_table_rows_are_the_kernel_rows(desc):
+    # the fill runs the kernel only at the generators: every other row of the
+    # kernel is compared here, the left rows with the table and the right
+    # rows with its transpose, read through the right translates
+    G = build_group(desc)
+    assert G.table.dtype == np.int16
+    g = 0
+    for block in G.translates(np.arange(G.order), right=True):
+        for right in block:
+            assert np.array_equal(G.table[g], G.backend.mul_vec(g, None)), g
+            assert np.array_equal(right, G.backend.vec_mul(None, g)), g
+            g += 1
+    assert g == G.order
+
+
+def test_dense_fill_refuses_generators_that_miss_elements():
+    backend = _Cyclic(4)
+    backend.generators = lambda: [2]
+    with pytest.raises(GroupConstructionError, match="reach 2 of the 4 elements"):
+        GroupTable(backend, "cyclic:4")
+
+
+def test_dense_limit_fits_int16_indices():
+    # a wider limit would wrap table entries silently
+    assert DENSE_LIMIT <= np.iinfo(np.int16).max + 1
+
+
+def test_from_table_keeps_a_corrupted_table_as_planted():
+    table = build_group("sl2:5").table.astype(np.int64)
+    table[[2, 3], [3, 9]] = table[[3, 2], [9, 3]]     # swap two products
+    E = GroupTable.from_table(table)
+    assert E.table.dtype == np.int16
+    assert np.array_equal(E.table, table)
+
+
+def test_dense_table_and_transpose_hold_two_bytes_per_entry():
+    # at int32 the two tables held 8 |G|^2 bytes
+    tracemalloc.start()
+    try:
+        G = build_group("sl2:13")
+        build_peak = tracemalloc.get_traced_memory()[1]
+        next(G.translates([G.identity], right=True))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    size = G.order ** 2
+    assert held <= 4.5 * size
+    assert build_peak <= 3 * size
 
 
 # ---------------------------------------------------------------------------

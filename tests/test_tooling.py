@@ -3,6 +3,9 @@ every name it lists must exist in the package, as must every name the
 package exports."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +49,12 @@ def test_benchmark_battery_passes_its_oracles():
         records.append((op, 0, rec))
     assert {op.check for op, _, _ in records} == {"mixing", "recurrence", "vdc"}
     assert worker.oracle_failures(bench_oracles, groups, records, 1, {"sl2:5"}) == []
+
+
+def test_perfbench_selftest_exits_zero():
+    """perfbench's self-test in its own process (loading it here would clash
+    with tests/oracles): among its planted faults is a table with two products
+    swapped, which reaches the checks through GroupTable.from_table."""
+    proc = subprocess.run([sys.executable, os.path.join(oracles._PERFBENCH, "selftest.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
