@@ -3,7 +3,8 @@
 Elements are indices 0..n-1.  Groups of order up to DENSE_LIMIT carry a full
 int16 multiplication table, its rows composed from the generators' kernel
 rows; larger groups (matrix / permutation families) multiply through their
-canonical forms with vectorized numpy kernels and a memoized inverse table.
+canonical forms with vectorized numpy kernels and a memoized inverse table;
+a direct product's full row is an outer sum of its factors' full rows.
 """
 
 from __future__ import annotations
@@ -177,8 +178,7 @@ class _Dihedral(_Backend):
         self.identity = 0
 
     def _split(self, idx):
-        idx = np.asarray(idx, dtype=_INDEX_DTYPE)
-        return idx // self.rot, idx % self.rot
+        return np.divmod(np.asarray(idx, dtype=_INDEX_DTYPE), self.rot)
 
     def _join(self, a, k):
         return a * self.rot + k
@@ -347,14 +347,27 @@ class _Mat2(_Backend):
 
 
 class _Product(_Backend):
+    """A x B; index a*|B| + b encodes (a, b).  A full row is an outer sum of
+    the factors' full rows, (a, b)(x, y) = (a x) * |B| + b y over every (x, y),
+    one broadcast add after one kernel row per factor (recursively for nested
+    products); index arrays are split into their factors' indices."""
+
     def __init__(self, A, B):
         self.A, self.B = A, B
         self.n = A.n * B.n
         self.identity = A.identity * B.n + B.identity
 
     def _split(self, idx):
-        idx = np.asarray(idx, dtype=_INDEX_DTYPE)
-        return idx // self.B.n, idx % self.B.n
+        return np.divmod(np.asarray(idx, dtype=_INDEX_DTYPE), self.B.n)
+
+    def _outer(self, row_a, row_b, out):
+        """row_a[:, None] * |B| + row_b[None, :], flattened, written into out
+        when given (a 1-D array reshapes as a view); only factor-sized
+        temporaries."""
+        out = np.empty(self.n, dtype=_INDEX_DTYPE) if out is None else out
+        np.add((row_a * self.B.n)[:, None], row_b[None, :],
+               out=out.reshape(self.A.n, self.B.n))
+        return out
 
     def mul_pairs(self, is_, js):
         ia, ib = self._split(is_)
@@ -362,13 +375,17 @@ class _Product(_Backend):
         return self.A.mul_pairs(ia, ja) * self.B.n + self.B.mul_pairs(ib, jb)
 
     def mul_vec(self, i, js, out=None):
-        ia, ib = i // self.B.n, i % self.B.n
-        ja, jb = self._split(self._all(js))
+        ia, ib = divmod(int(i), self.B.n)
+        if js is None:
+            return self._outer(self.A.mul_vec(ia, None), self.B.mul_vec(ib, None), out)
+        ja, jb = self._split(js)
         return self.A.mul_vec(ia, ja) * self.B.n + self.B.mul_vec(ib, jb)
 
     def vec_mul(self, is_, j, out=None):
-        ja, jb = j // self.B.n, j % self.B.n
-        ia, ib = self._split(self._all(is_))
+        ja, jb = divmod(int(j), self.B.n)
+        if is_ is None:
+            return self._outer(self.A.vec_mul(None, ja), self.B.vec_mul(None, jb), out)
+        ia, ib = self._split(is_)
         return self.A.vec_mul(ia, ja) * self.B.n + self.B.vec_mul(ib, jb)
 
     def inv_all(self):
@@ -492,7 +509,8 @@ class GroupTable:
         """The rows y -> g y (y -> y g when right) for g in gs, in the blocks of
         row_chunks(gs, |G|), each a view of one intp buffer that the next block
         overwrites.  A block is one gather from the table, or from its
-        transpose when right, else one kernel call per row."""
+        transpose when right, else one kernel call per row (on a product, an
+        outer sum of its factors' rows, written into the block in place)."""
         if right and self.table is not None and self._table_t is None:
             self._table_t = np.ascontiguousarray(self.table.T)   # row g: y -> y g
             self._table_t.flags.writeable = False
@@ -673,7 +691,7 @@ def conjugacy_classes(G):
     class_of = np.full(n, -1, dtype=_INDEX_DTYPE)
     members_per_class = []
     # conjugation by each generator, as a permutation of the elements
-    conj = [G.vec_mul(G.mul_vec(g), int(G.inv[g])) for g in G.generators()]
+    conj = [G.vec_mul(None, int(G.inv[g])).take(G.mul_vec(g)) for g in G.generators()]
     seen = np.zeros(n, dtype=bool)
     for seed in range(n):
         if seen[seed]:

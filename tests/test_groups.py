@@ -14,10 +14,12 @@ from qrmix import (
     conjugacy_classes,
     parse_descriptor,
 )
-from qrmix.groups import DENSE_LIMIT, _Cyclic, check_samples, class_count, plan
+from qrmix.groups import DENSE_LIMIT, _Cyclic, _Product, check_samples, class_count, plan
 
 import oracles
 from oracles import verify_group_axioms
+
+label_arithmetic = oracles.perfbench_module("oracles")
 
 SMALL_DESCS = ["cyclic:1", "cyclic:7", "dihedral:4", "symmetric:3", "symmetric:4",
                "psl2:5", "sl2:5", "product:cyclic:2,symmetric:3"]
@@ -218,6 +220,53 @@ def test_dense_table_and_transpose_hold_two_bytes_per_entry():
 
 
 # ---------------------------------------------------------------------------
+# product rows: outer sums of the factors' rows
+
+
+@pytest.mark.parametrize("desc", ["product:sl2:5,product:sl2:5,cyclic:2",
+                                  "product:cyclic:1,sl2:17", "product:sl2:17,cyclic:1"])
+def test_product_rows_above_dense_limit_match_label_arithmetic(desc):
+    # no dense table: every translate is a full kernel row of the product
+    G = build_group(desc)
+    assert G.table is None
+    arith = label_arithmetic.Arithmetic(parse_descriptor(desc))
+    E = arith.parse_all(G.labels)
+    codes = arith.code(E)
+    xs = np.arange(G.order)
+    gs = np.random.default_rng(18).integers(0, G.order, 3)
+    # each block is a view of a buffer that the next block overwrites
+    left = np.concatenate([block.copy() for block in G.translates(gs)])
+    right = np.concatenate([block.copy() for block in G.translates(gs, right=True)])
+    for g, lrow, rrow in zip(gs, left, right):
+        assert np.array_equal(lrow, G.mul_pairs(np.full(G.order, g), xs))
+        assert np.array_equal(rrow, G.mul_pairs(xs, np.full(G.order, g)))
+        assert np.array_equal(codes[lrow], arith.code(arith.mul(E[g], E)))
+        assert np.array_equal(codes[rrow], arith.code(arith.mul(E, E[g])))
+
+
+def test_product_full_rows_skip_the_index_split(monkeypatch):
+    # the k = 162 product of the benchmark: its full rows never split the
+    # |G| indices into factor indices, and land in out without a copy
+    G = build_group("product:sl2:5,product:sl2:5,cyclic:2")
+    xs = np.arange(G.order)
+    g = 12345
+    want_left = G.mul_pairs(np.full(G.order, g), xs)
+    want_right = G.mul_pairs(xs, np.full(G.order, g))
+
+    def refuse(self, idx):
+        raise AssertionError("full row split into factor indices")
+
+    monkeypatch.setattr(_Product, "_split", refuse)
+    assert np.array_equal(G.mul_vec(g), want_left)
+    assert np.array_equal(G.vec_mul(None, g), want_right)
+    out = np.empty(G.order, dtype=np.intp)
+    assert G.backend.mul_vec(g, None, out) is out
+    assert np.array_equal(out, want_left)
+    assert G.backend.vec_mul(None, g, out) is out
+    assert np.array_equal(out, want_right)
+
+
+# ---------------------------------------------------------------------------
 # conjugacy classes
 
 
@@ -253,7 +302,8 @@ def test_abelian_groups_have_singleton_classes():
 @pytest.mark.parametrize("desc", ["cyclic:1", "cyclic:9", "dihedral:1", "dihedral:2", "dihedral:7",
                                   "dihedral:10", "symmetric:1", "symmetric:6", "sl2:3", "sl2:11",
                                   "psl2:3", "psl2:11", "product:sl2:5,symmetric:4",
-                                  "product:dihedral:4,product:cyclic:3,psl2:5"])
+                                  "product:dihedral:4,product:cyclic:3,psl2:5",
+                                  "product:sl2:5,product:sl2:5,cyclic:2"])
 def test_class_count_closed_forms_match_conjugacy_classes(desc):
     assert class_count(desc) == conjugacy_classes(build_group(desc)).k
 
