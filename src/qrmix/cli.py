@@ -12,10 +12,11 @@ import json
 import os
 import sys
 
-from .characters import CharacterError, character_degrees, check_class_count, quasirandom_degree
-from .groups import GroupConstructionError, build_group, class_count, conjugacy_classes
+from .characters import CharacterError, character_degrees, quasirandom_degree
+from .groups import GroupConstructionError, build_group, conjugacy_classes
 from .sweep import (BUILT_IN, PLOT_COLUMNS, ConfigError, ExperimentConfig, _jsonable,
-                    emit_plot_data, run_sweep, sweep_group, write_csv)
+                    check_row, checked_class_count, emit_plot_data, experiment_checks, run_sweep,
+                    write_csv, write_results)
 from .verify import PROFILES, run_verify
 
 RECURRENCE_COLUMNS = ["group", "order", "D", "epsilon",
@@ -27,11 +28,10 @@ COLUMNS = {
     "recurrence": RECURRENCE_COLUMNS,
     "vdc": RECURRENCE_COLUMNS,
 }
-RENAMED = {"bound_total": "bound", "measured_total": "measured"}  # subcommand -> sweep column
 
 
 def cmd_degrees(args):
-    check_class_count(class_count(args.group))
+    checked_class_count(args.group, ["degrees"])
     G = build_group(args.group)
     deg = character_degrees(G)
     out = {
@@ -46,22 +46,20 @@ def cmd_degrees(args):
 
 
 def cmd_check(args):
-    """mixing, recurrence, vdc: a one-group sweep of that experiment, its rows
-    renamed onto the subcommand's CSV schema.  Mixing and recurrence need D,
-    so they refuse a group with too many classes before building it."""
+    """mixing, recurrence, vdc: a one-group sweep of that experiment, its
+    checks written under the subcommand's CSV schema."""
     cfg = ExperimentConfig(groups=[args.group], experiments=[args.command], trials=args.trials,
                            master_seed=args.seed, actions=[getattr(args, "action", "left")],
                            mc_samples=args.mc)
-    if args.command != "vdc":
-        check_class_count(class_count(cfg.groups[0]))
-    rows, _ = sweep_group(cfg, build_group(cfg.groups[0]))   # the group once its inputs pass
+    checked_class_count(cfg.groups[0], cfg.experiments)
+    G = build_group(cfg.groups[0])      # the group once its inputs pass
+    checks = experiment_checks(cfg, G, args.command)
     columns = COLUMNS[args.command]
-    out = [{c: row[RENAMED.get(c, c)] for c in columns} for row in rows]
+    out = [check_row(c, columns, order=G.order) for c in checks]
     write_csv(sys.stdout, columns, out)
     if args.out:
-        with open(os.path.join(args.out, args.command + ".csv"), "w", newline="") as fh:
-            write_csv(fh, columns, out)
-    return 0 if all(row["pass"] == "true" for row in rows) else 1
+        write_results(os.path.join(args.out, args.command + ".csv"), out, columns)
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def cmd_sweep(args):

@@ -693,9 +693,8 @@ def conjugacy_classes(G):
     # conjugation by each generator, as a permutation of the elements
     conj = [G.vec_mul(None, int(G.inv[g])).take(G.mul_vec(g)) for g in G.generators()]
     seen = np.zeros(n, dtype=bool)
-    for seed in range(n):
-        if seen[seed]:
-            continue
+    seed = 0
+    while not seen[seed]:       # seed: the least element no orbit has reached
         frontier = np.array([seed], dtype=_INDEX_DTYPE)
         seen[seed] = True
         orbit = [frontier]
@@ -714,6 +713,7 @@ def conjugacy_classes(G):
         orbit = np.sort(np.concatenate(orbit))
         class_of[orbit] = len(members_per_class)
         members_per_class.append(orbit)
+        seed += int(np.argmin(seen[seed:]))     # stays put once every element is seen
     order = sorted(range(len(members_per_class)),
                    key=lambda c: (len(members_per_class[c]), int(members_per_class[c][0])))
     remap = np.empty(len(order), dtype=_INDEX_DTYPE)

@@ -1,5 +1,10 @@
 """Experiment orchestration: config ingestion, family sweeps, CSV/JSON output.
 
+Every experiment, here and in the verification battery (verify.py), yields
+`Check` records with the library's report attached.  One row writer,
+`check_row`, writes a check under any schema (RESULT_COLUMNS, verify's
+CSV_COLUMNS, the CLI's), and one builder, `summarize`, makes a summary entry.
+
 Every output byte is a deterministic function of (config, master seed):
 trial seeds are derived by a keyed 64-bit hash and rows are emitted in
 canonical (group, experiment, action, trial) order.
@@ -16,8 +21,9 @@ from dataclasses import dataclass, field, fields
 from .actions import BUILT_IN, ProbabilitySpace, random_observable
 from .characters import (MAX_CLASSES, CharacterError, character_degrees, check_class_count,
                          quasirandom_degree)
-from .groups import (EXACT_MAX_ORDER, GroupConstructionError, build_group, canonical_descriptor,
-                     check_samples, class_count, conjugacy_classes, group_order, plan)
+from .groups import (EXACT_MAX_ORDER, PASS_TOL, GroupConstructionError, build_group,
+                     canonical_descriptor, check_samples, class_count, conjugacy_classes,
+                     group_order, plan)
 from .mixing import mixing_bound_check
 from .recurrence import correlation_family, triple_recurrence_error, vdc_check
 from .seeding import derive_seed
@@ -110,17 +116,73 @@ def _fmt(x):
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return "%.17g" % x
+        return "%.17g" % x      # inf as "inf"
     return str(x)
 
 
-def _row(**kw):
-    row = {c: "" for c in RESULT_COLUMNS}
-    for k, v in kw.items():
-        row[k] = _fmt(v)
-    return row
+@dataclass
+class Check:
+    """One checked quantity: where it was measured, its value against its
+    bound, its verdict (by default: measured within the bound, if any), the
+    library's report behind it, and the figures a row shows beside them."""
+    name: str
+    group: str
+    action: str = ""
+    trial: object = ""
+    bound: float = None
+    measured: float = None
+    passed: bool = None
+    ci: float = None
+    report: object = None
+    cells: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.passed is None:
+            self.passed = self.bound is None or self.measured <= self.bound + PASS_TOL
+
+
+def check_row(check, columns, **cells):
+    """The check as one row of columns, each cell formatted by _fmt: a column
+    takes the value given here, else the check's field or cell of that name,
+    else its report's attribute of that name, else stays empty."""
+    values = {**vars(check), "pass": bool(check.passed), **check.cells, **cells}
+    return {c: _fmt(values[c] if c in values else getattr(check.report, c, None)) for c in columns}
+
+
+def summarize(checks):
+    """One experiment's summary entry: its counts, its largest measured value
+    and bound, and its largest measured/bound ratio over nonzero bounds."""
+    passed = sum(bool(c.passed) for c in checks)
+    return {"trials": len(checks), "pass_count": passed, "fail_count": len(checks) - passed,
+            "max_measured": max((c.measured for c in checks if c.measured is not None), default=None),
+            "bound": max((c.bound for c in checks if c.bound is not None), default=None),
+            "max_ratio": max((c.measured / c.bound for c in checks
+                              if c.measured is not None and c.bound), default=None)}
+
+
+def degrees_hold(G, degrees):
+    """The invariants of G's ascending character degrees: their squares sum
+    to |G|, there is one per conjugacy class, the first is 1, and D is the
+    least degree after it (inf for |G| = 1)."""
+    D = quasirandom_degree(G)
+    return (sum(d * d for d in degrees) == G.order and len(degrees) == conjugacy_classes(G).k
+            and degrees[0] == 1 and (D == math.inf or D == min(degrees[1:])))
+
+
+def checked_class_count(desc, experiments):
+    """desc's class count, from its descriptor; a CharacterError above
+    MAX_CLASSES unless vdc runs alone, since every other experiment reads D."""
+    k = class_count(desc)
+    if set(experiments) != {"vdc"}:
+        check_class_count(k)
+    return k
+
+
+def mixing_checks(G, kind, trials, master, scale=1.0, **planned):
+    """mixing_bound_check's reports on one action as checks, bounds times scale."""
+    return [Check("mixing_bound", G.desc, kind, rep.trial, rep.bound * scale, rep.measured,
+                  ci=rep.ci_halfwidth, report=rep, cells={"epsilon": 1.0 / math.sqrt(rep.D)})
+            for rep in mixing_bound_check(G, kind, trials, master, **planned)]
 
 
 def recurrence_trial(G, seed, samples=None):
@@ -132,79 +194,53 @@ def recurrence_trial(G, seed, samples=None):
                                    samples=samples, seed=derive_seed(seed, "g"))
 
 
-def vdc_trial(G, seed, samples):
-    """van der Corput on a correlation family drawn from seed; vdc_check
-    itself decides whether to sample (g, h) pairs."""
+def vdc_trial(G, seed, samples, trial):
+    """van der Corput on a correlation family drawn from seed, as a check;
+    vdc_check itself decides whether to sample (g, h) pairs."""
     space = ProbabilitySpace.uniform(G.order)
     f2, f3, f = (random_observable(space, derive_seed(seed, n)) for n in ("f2", "f3", "f"))
-    return vdc_check(correlation_family(G, f2, f3), f, samples=samples,
-                     seed=derive_seed(seed, "gh"))
+    res = vdc_check(correlation_family(G, f2, f3), f, samples=samples,
+                    seed=derive_seed(seed, "gh"))
+    return Check("vdc_correlation", G.desc, trial=trial, bound=res.bound, measured=res.rhs_integral,
+                 report=res, cells={"seed": seed, "epsilon": res.epsilon_lhs,
+                                    "bound_total": res.bound, "measured_total": res.rhs_integral})
+
+
+def experiment_checks(cfg, G, exp):
+    """The checks of one sweep experiment on G in row order, with their
+    reports attached and the seed each row records among their cells."""
+    desc, master = G.desc, cfg.master_seed
+    if exp == "degrees":
+        deg = character_degrees(G)
+        return [Check("degree_invariants", desc, trial=0, passed=degrees_hold(G, deg.degrees),
+                      report=deg, cells={"seed": derive_seed(master, desc, exp, 0),
+                                         "D": quasirandom_degree(G)})]
+    if exp == "mixing":
+        checks = [c for kind in cfg.actions for c in mixing_checks(
+            G, kind, cfg.trials, master, mc_samples=cfg.mc_samples,
+            exact_max_order=cfg.exact_max_order)]
+        for c in checks:
+            c.cells["seed"] = derive_seed(master, desc, exp, c.action, c.trial)
+        return checks
+    seeds = [derive_seed(master, desc, exp, t) for t in range(cfg.trials)]
+    if exp == "vdc":
+        return [vdc_trial(G, seed, cfg.mc_samples, t) for t, seed in enumerate(seeds)]
+    samples = plan(exp, desc, G.order, cfg.mc_samples, master, cfg.exact_max_order)
+    reports = [recurrence_trial(G, seed, samples) for seed in seeds]
+    return [Check("triple_recurrence", desc, trial=t, bound=rep.bound_total,
+                  measured=rep.measured_total, report=rep, cells={"seed": seeds[t]})
+            for t, rep in enumerate(reports)]
 
 
 def sweep_group(cfg, G):
     """Rows and per-group summary of the configured experiments on the group G."""
-    desc = G.desc
-    rows = []
-    summary = {"order": G.order, "error": None, "experiments": {}}
+    rows, summary = [], {"order": G.order, "error": None, "experiments": {}}
     for exp in cfg.experiments:
-        stats = {"trials": 0, "pass_count": 0, "fail_count": 0,
-                 "max_measured": None, "bound": None, "max_ratio": None}
-
-        def tally(bound, measured, passed):
-            stats["trials"] += 1
-            stats["pass_count" if passed else "fail_count"] += 1
-            if measured is not None:
-                if stats["max_measured"] is None or measured > stats["max_measured"]:
-                    stats["max_measured"] = measured
-                if bound and (stats["max_ratio"] is None or measured / bound > stats["max_ratio"]):
-                    stats["max_ratio"] = measured / bound
-            if bound is not None and (stats["bound"] is None or bound > stats["bound"]):
-                stats["bound"] = bound
-
+        checks = experiment_checks(cfg, G, exp)
+        rows += [check_row(c, RESULT_COLUMNS, order=G.order, experiment=exp) for c in checks]
+        summary["experiments"][exp] = summarize(checks)
         if exp == "degrees":
-            deg = character_degrees(G)
-            ok = (sum(d * d for d in deg.degrees) == G.order
-                  and len(deg.degrees) == conjugacy_classes(G).k)
-            rows.append(_row(group=desc, order=G.order, experiment=exp, trial=0,
-                             seed=derive_seed(cfg.master_seed, desc, exp, 0),
-                             D=quasirandom_degree(G), **{"pass": ok}))
-            tally(None, None, ok)
-            summary["degrees"] = list(deg.degrees)
-        elif exp == "mixing":
-            for kind in cfg.actions:
-                reports = mixing_bound_check(
-                    G, kind, cfg.trials, cfg.master_seed,
-                    mc_samples=cfg.mc_samples, exact_max_order=cfg.exact_max_order)
-                for rep in reports:
-                    rows.append(_row(group=desc, order=G.order, experiment=exp,
-                                     action=kind, trial=rep.trial,
-                                     seed=derive_seed(cfg.master_seed, desc, exp, kind, rep.trial),
-                                     D=rep.D, epsilon=1.0 / math.sqrt(rep.D),
-                                     bound=rep.bound, measured=rep.measured,
-                                     ci=rep.ci_halfwidth, **{"pass": rep.passed}))
-                    tally(rep.bound, rep.measured, rep.passed)
-        elif exp == "recurrence":
-            samples = plan(exp, desc, G.order, cfg.mc_samples, cfg.master_seed, cfg.exact_max_order)
-            for t in range(cfg.trials):
-                seed = derive_seed(cfg.master_seed, desc, exp, t)
-                rep = recurrence_trial(G, seed, samples)
-                rows.append(_row(group=desc, order=G.order, experiment=exp, trial=t,
-                                 seed=seed, D=rep.D, epsilon=rep.epsilon,
-                                 bound=rep.bound_total, measured=rep.measured_total,
-                                 bound_case_i=rep.bound_case_i, measured_case_i=rep.measured_case_i,
-                                 bound_case_ii=rep.bound_case_ii, measured_case_ii=rep.measured_case_ii,
-                                 **{"pass": rep.passed}))
-                tally(rep.bound_total, rep.measured_total, rep.passed)
-        elif exp == "vdc":
-            for t in range(cfg.trials):
-                seed = derive_seed(cfg.master_seed, desc, exp, t)
-                res = vdc_trial(G, seed, cfg.mc_samples)
-                rows.append(_row(group=desc, order=G.order, experiment=exp, trial=t,
-                                 seed=seed, epsilon=res.epsilon_lhs,
-                                 bound=res.bound, measured=res.rhs_integral,
-                                 **{"pass": res.passed}))
-                tally(res.bound, res.rhs_integral, res.passed)
-        summary["experiments"][exp] = stats
+            summary["degrees"] = list(checks[0].report.degrees)
     return rows, summary
 
 
@@ -215,9 +251,7 @@ def run_sweep(cfg):
     groups_summary = {}
     for desc in cfg.groups:
         try:
-            k = class_count(desc)
-            if set(cfg.experiments) != {"vdc"}:     # vdc alone needs no D
-                check_class_count(k)                # every other sweep's entry reports D
+            k = checked_class_count(desc, cfg.experiments)
             G = build_group(desc)
             rows, entry = sweep_group(cfg, G)
             entry["D"] = quasirandom_degree(G) if k <= MAX_CLASSES else None
@@ -245,9 +279,9 @@ def write_csv(fh, columns, rows):
     writer.writerows(rows)
 
 
-def write_results(path, rows):
+def write_results(path, rows, columns=RESULT_COLUMNS):
     with open(path, "w", newline="") as fh:
-        write_csv(fh, RESULT_COLUMNS, rows)
+        write_csv(fh, columns, rows)
 
 
 def write_summary(path, summary):
@@ -294,6 +328,5 @@ def emit_plot_data(results_path, out_path=None):
             "measured_mean": _fmt(sum(e["measured"]) / len(e["measured"])),
         })
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            write_csv(fh, PLOT_COLUMNS, out_rows)
+        write_results(out_path, out_rows, PLOT_COLUMNS)
     return out_rows

@@ -3,10 +3,12 @@
 Each numbered criterion (character degrees, mixing bound, sharpness,
 triple recurrence, case decomposition, van der Corput, ergodic projection,
 reduction and Gram identities, estimator consistency) is a function of its
-inputs returning an Outcome.  The acceptance tests call these functions
-with their own inputs and tolerances; `run_verify` runs one profile, prints
-one line per criterion, and writes verify_results.csv /
-verify_summary.json.  Fully deterministic given (profile, master seed).
+inputs returning an Outcome of `Check` records, the same records the
+sweep's experiments yield (sweep.py), written through the same row writer.
+The acceptance tests call these functions with their own inputs and
+tolerances; `run_verify` runs one profile, prints one line per criterion,
+and writes verify_results.csv / verify_summary.json.  Fully deterministic
+given (profile, master seed).
 
 `inflate_d` is a debug fault injector: it adds an offset to D wherever a
 bound is formed here, so that e.g. cyclic groups (D = 1, with equality
@@ -15,10 +17,10 @@ cases) demonstrably fail the inflated bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .actions import (
 from .characters import character_degrees, quasirandom_degree
 from .groups import PASS_TOL, build_group, conjugacy_classes
 from .mixing import (
-    mixing_bound_check,
     mixing_error,
     monte_carlo_mixing_error,
     reduction_identity_check,
@@ -46,7 +47,8 @@ from .recurrence import (
     vdc_check,
 )
 from .seeding import derive_seed
-from .sweep import _fmt, recurrence_trial, vdc_trial, write_csv, write_summary
+from .sweep import (Check, check_row, degrees_hold, mixing_checks, recurrence_trial, vdc_trial,
+                    write_results, write_summary)
 
 CLOSED_FORM_RTOL = 1e-13
 
@@ -86,21 +88,6 @@ PROFILES = {
 CSV_COLUMNS = ["criterion", "name", "group", "action", "trial", "bound", "measured", "pass"]
 
 
-@dataclass
-class Check:
-    """One checked quantity: where it was measured, its value against its
-    bound, its verdict, and the library's report behind it if there is one."""
-    name: str
-    group: str
-    action: str = ""
-    trial: object = ""
-    bound: float = None
-    measured: float = None
-    passed: bool = True
-    ci: float = None
-    report: object = None
-
-
 # A criterion's result: every check it made, in input order (records), and
 # the checks its verdict rests on, one CSV row each (rows).
 Outcome = namedtuple("Outcome", "records rows")
@@ -123,23 +110,17 @@ def degrees_by_float_diagonalization(G, seed=0):
     M = np.zeros((n, n), dtype=np.complex128)
     for g in range(n):
         M[xs, G.vec_mul(xs, g)] += t[C.class_of[g]]
-    eig = np.linalg.eigvals(M)
-    order = np.lexsort((eig.imag, eig.real))
-    eig = eig[order]
-    mults = []
-    i = 0
+    eig = np.sort_complex(np.linalg.eigvals(M))    # by real part, then imaginary
+    degrees, i = [], 0
     while i < n:
         j = i
         while j < n and abs(eig[j] - eig[i]) < 1e-6:
             j += 1
-        mults.append(j - i)
-        i = j
-    degrees = []
-    for m in mults:
-        d = math.isqrt(m)
-        if d * d != m:
-            raise ArithmeticError("eigenvalue multiplicity %d is not a perfect square" % m)
+        d = math.isqrt(j - i)
+        if d * d != j - i:
+            raise ArithmeticError("eigenvalue multiplicity %d is not a perfect square" % (j - i))
         degrees.append(d)
+        i = j
     return tuple(sorted(degrees))
 
 
@@ -148,13 +129,8 @@ def crit_degrees(groups, master=0, inflate=0, build=build_group):
     for desc in groups:
         G = build(desc)
         deg = character_degrees(G)
-        D = quasirandom_degree(G)
-        good = (sum(d * d for d in deg.degrees) == G.order
-                and len(deg.degrees) == conjugacy_classes(G).k
-                and deg.degrees[0] == 1
-                and (D == math.inf or D == min(d for d in deg.degrees[1:])))
         rows.append(Check("degree_invariants", desc, measured=float(min(deg.degrees[1:], default=1)),
-                          passed=good, report=deg))
+                          passed=degrees_hold(G, deg.degrees), report=deg))
     G = build("psl2:5")
     oracle = degrees_by_float_diagonalization(G, seed=derive_seed(master, "oracle"))
     dixon = tuple(sorted(character_degrees(G).degrees))
@@ -170,12 +146,8 @@ def crit_mixing(groups, trials, master=0, inflate=0, build=build_group):
         G = build(desc)
         D = quasirandom_degree(G)
         scale = math.sqrt(D / (D + inflate)) if inflate else 1.0
-        checks = []
-        for kind in ("right", "left", "conjugation"):
-            for rep in mixing_bound_check(G, kind, trials, master):
-                bound = rep.bound * scale
-                checks.append(Check("mixing_bound", desc, kind, rep.trial, bound, rep.measured,
-                                    rep.measured <= bound + PASS_TOL, report=rep))
+        checks = [c for kind in ("right", "left", "conjugation")
+                  for c in mixing_checks(G, kind, trials, master, scale)]
         records += checks
         rows += [c for c in checks if not c.passed]
         rows.append(Check("mixing_bound", desc, measured=float(D),
@@ -208,11 +180,8 @@ def recurrence_reports(exact, sampled, trials, samples, master=0, build=build_gr
 
 
 def crit_recurrence(reports, inflate=0):
-    rows = []
-    for t, rep in enumerate(reports):
-        bound = 4.0 * (rep.D + inflate) ** -0.25
-        rows.append(Check("triple_recurrence", rep.group, rep.mode, t, bound, rep.measured_total,
-                          rep.measured_total <= bound + PASS_TOL, report=rep))
+    rows = [Check("triple_recurrence", rep.group, rep.mode, t, 4.0 * (rep.D + inflate) ** -0.25,
+                  rep.measured_total, report=rep) for t, rep in enumerate(reports)]
     return Outcome(rows, rows)
 
 
@@ -244,11 +213,7 @@ def crit_vdc(delta_groups, corr_groups, trials, master=0, inflate=0, build=build
     records = list(rows)
     for desc in corr_groups:
         G = build(desc)
-        checks = []
-        for t in range(trials):
-            res = vdc_trial(G, derive_seed(master, "vdc", desc, t), None)
-            checks.append(Check("vdc_correlation", desc, trial=t, bound=res.bound,
-                                measured=res.rhs_integral, passed=res.passed, report=res))
+        checks = [vdc_trial(G, derive_seed(master, "vdc", desc, t), None, t) for t in range(trials)]
         records += checks
         rows += [c for c in checks if not c.passed]
         rows.append(Check("vdc_correlation", desc, passed=all(c.passed for c in checks)))
@@ -357,12 +322,6 @@ CRITERIA = [
 ]
 
 
-def _row(num, c):
-    return {"criterion": str(num), "name": c.name, "group": c.group, "action": c.action,
-            "trial": _fmt(c.trial), "bound": _fmt(c.bound), "measured": _fmt(c.measured),
-            "pass": _fmt(bool(c.passed))}
-
-
 def run_verify(out_dir, master_seed=0, profile="full", inflate_d=0):
     """Run the verification battery; returns process exit status (0/1)."""
     if profile not in PROFILES:
@@ -372,32 +331,22 @@ def run_verify(out_dir, master_seed=0, profile="full", inflate_d=0):
     if not 0 <= master_seed < 2**64:
         raise ValueError("master_seed must be in [0, 2^64)")
     p = PROFILES[profile]
-    built = {}
-
-    def build(desc):   # each group once per run
-        if desc not in built:
-            built[desc] = build_group(desc)
-        return built[desc]
-
+    build = functools.lru_cache(maxsize=None)(build_group)     # each group once per run
     all_rows = []
     summary = {"master_seed": master_seed, "profile": profile,
                "inflate_d": inflate_d, "criteria": {}}
     rec_reports = recurrence_reports(**p[4], master=master_seed, build=build)
-    status = 0
     for num, name, func in CRITERIA:
         if num in (4, 5):
             out = func(rec_reports, inflate_d)
         else:
             out = func(**p[num], master=master_seed, inflate=inflate_d, build=build)
         ok = all(c.passed for c in out.rows)
-        all_rows.extend(_row(num, c) for c in out.rows)
+        all_rows.extend(check_row(c, CSV_COLUMNS, criterion=num) for c in out.rows)
         summary["criteria"][str(num)] = {"name": name, "pass": ok}
         print("%s  criterion %2d: %s" % ("PASS" if ok else "FAIL", num, name))
-        if not ok:
-            status = 1
-    summary["all_pass"] = status == 0
+    summary["all_pass"] = all(c["pass"] for c in summary["criteria"].values())
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "verify_results.csv"), "w", newline="") as fh:
-        write_csv(fh, CSV_COLUMNS, all_rows)
+    write_results(os.path.join(out_dir, "verify_results.csv"), all_rows, CSV_COLUMNS)
     write_summary(os.path.join(out_dir, "verify_summary.json"), summary)
-    return status
+    return 0 if summary["all_pass"] else 1

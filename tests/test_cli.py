@@ -10,6 +10,7 @@ import pytest
 
 from qrmix import ExperimentConfig, ConfigError, build_group, character_degrees, emit_plot_data, run_sweep
 from qrmix import cli, mixing_bound_check, sweep
+from qrmix.characters import DegreeMultiset
 from qrmix.groups import plan
 from qrmix.cli import main
 from qrmix.sweep import RESULT_COLUMNS, write_results
@@ -246,8 +247,8 @@ def test_sweep_of_vdc_alone_needs_no_degrees(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "vdc", "-g", "cyclic:600", "--trials", "1", "--mc", "100",
                            "--seed", "5")
     assert code == 0
-    assert _parse_csv(out) == [{c: r[cli.RENAMED.get(c, c)] for c in cli.COLUMNS["vdc"]}
-                               for r in rows]
+    totals = {"bound_total": "bound", "measured_total": "measured"}   # vdc column -> sweep column
+    assert _parse_csv(out) == [{c: r[totals.get(c, c)] for c in cli.COLUMNS["vdc"]} for r in rows]
 
 
 def test_sweep_reports_character_error_as_the_groups_error(tmp_path, capsys):
@@ -280,6 +281,17 @@ def test_checks_follow_the_plan(monkeypatch, desc, exact):
     cfg = ExperimentConfig(groups=[desc], experiments=["recurrence"], trials=1, mc_samples=30)
     rows, _ = sweep.sweep_group(cfg, G)
     assert planned == [None if exact else 30] and rows[0]["pass"] == "true"
+
+
+def test_sweep_degrees_row_needs_the_trivial_degree_first(monkeypatch):
+    # (2, 1, 1) on symmetric:3: the squares sum to |G| = 6 and there is one
+    # degree per class, but the first degree is not 1
+    G = build_group("symmetric:3")
+    monkeypatch.setattr(sweep, "character_degrees", lambda G: DegreeMultiset((2, 1, 1), G.order))
+    cfg = ExperimentConfig(groups=[G.desc], experiments=["degrees"], trials=1)
+    rows, summary = sweep.sweep_group(cfg, G)
+    assert [row["pass"] for row in rows] == ["false"]
+    assert summary["experiments"]["degrees"]["fail_count"] == 1
 
 
 def test_sweep_rejects_non_object_config(tmp_path, capsys):
@@ -358,7 +370,9 @@ def test_plotdata_missing_file_exits_2(tmp_path, capsys):
 # golden outputs, written with one BLAS thread.  verify_summary.json is commit
 # 7b3b31d's, the vdc and recurrence-sl2:13 files are e4de328's.  The other three
 # were written again when sampled rows moved to blocks reduced by einsum: their
-# last digits moved, by at most 1.8e-15 relative.
+# last digits moved, by at most 1.8e-15 relative.  The sweep's two files are
+# 7649b7c's: its config covers D = inf (cyclic:1), all three actions, exact and
+# sampled mixing and recurrence (psl2:7 is above exact_max_order 100), and vdc.
 
 
 def _run_qrmix(argv, out_dir, blas_threads="1"):
@@ -389,8 +403,11 @@ def _run_qrmix(argv, out_dir, blas_threads="1"):
      {"vdc.csv": "vdc_sl2_11.csv"}),
     (("recurrence", "-g", "sl2:13", "--trials", "2", "--seed", "3"),
      {"recurrence.csv": "recurrence_sl2_13.csv"}),
+    (("sweep", "--config", os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                                        "sweep_config.json")),
+     {"results.csv": "sweep_results.csv", "summary.json": "sweep_summary.json"}),
 ], ids=["verify-quick-seed0", "recurrence-sl2:37", "mixing-psl2:67-conjugation",
-        "vdc-symmetric:4", "vdc-sl2:11", "recurrence-sl2:13"])
+        "vdc-symmetric:4", "vdc-sl2:11", "recurrence-sl2:13", "sweep-four-experiments"])
 def test_outputs_match_golden_files(tmp_path, argv, files):
     here = os.path.dirname(os.path.abspath(__file__))
     _run_qrmix(argv, tmp_path)
@@ -450,3 +467,7 @@ def test_verify_inflated_degree_fails(tmp_path, capsys):
                            "--inflate-d", "1")
     assert code == 1
     assert "FAIL" in out
+    # D + 1 breaks only the equality witness of criterion 3; every other bound has slack
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS"] * 2 + ["FAIL"] + ["PASS"] * 7
+    assert lines[2].startswith("FAIL  criterion  3: ")
