@@ -1,10 +1,13 @@
 """Finite groups as dense index structures with normalized counting measure.
 
-Elements are indices 0..n-1.  Groups of order up to DENSE_LIMIT carry a full
-int16 multiplication table, its rows composed from the generators' kernel
-rows; larger groups (matrix / permutation families) multiply through their
-canonical forms with vectorized numpy kernels and a memoized inverse table;
-a direct product's full row is an outer sum of its factors' full rows.
+Elements are indices 0..n-1.  Each backend has two multiplication kernels:
+mul_pairs, the elementwise product of two index arrays, and row, the full row
+x -> g x (or x -> x g); by default a row is one mul_pairs over every element,
+and permutations, SL(2,p) matrices and direct products (an outer sum of their
+factors' rows) compute it faster.  Groups of order up to DENSE_LIMIT carry a
+full int16 multiplication table, its rows composed from the generators' rows.
+GroupTable.mul_vec and vec_mul serve every shape: a full row is read from the
+table, else from backend.row; an index array goes through mul_pairs.
 """
 
 from __future__ import annotations
@@ -55,11 +58,6 @@ def _is_prime(n):
     return True
 
 
-def _lookup(sorted_codes, queries):
-    """Map canonical-form codes to element indices (codes must all be present)."""
-    return np.searchsorted(sorted_codes, queries)
-
-
 def into(out, row):
     """row, copied into out when out is given and is not row already."""
     if out is not None and row is not out:
@@ -87,31 +85,24 @@ def compose_rows(L, R):
 
 
 class _Backend:
-    """Multiplication kernel on element indices.
+    """Multiplication kernels on element indices.
 
-    Subclasses set ``n`` and ``identity`` and implement the vectorized maps.
-    An index array None means every element; a backend may write into out.
+    Subclasses set ``n`` and ``identity`` and implement mul_pairs; a subclass
+    with a faster full row overrides row.
     """
 
     n = 0
     identity = 0
 
-    def _all(self, idx):
-        return np.arange(self.n, dtype=_INDEX_DTYPE) if idx is None else np.asarray(idx)
-
-    def mul_vec(self, i, js, out=None):
-        """i * js, elementwise over the array js."""
-        js = self._all(js)
-        return self.mul_pairs(np.full(js.shape, i, dtype=_INDEX_DTYPE), js)
-
-    def vec_mul(self, is_, j, out=None):
-        """is_ * j, elementwise over the array is_."""
-        is_ = self._all(is_)
-        return self.mul_pairs(is_, np.full(is_.shape, j, dtype=_INDEX_DTYPE))
-
     def mul_pairs(self, is_, js):
         """is_ * js elementwise (equal-length arrays)."""
         raise NotImplementedError
+
+    def row(self, g, right=False, out=None):
+        """The full row x -> g x (x -> x g when right), into out when given:
+        one mul_pairs over every element."""
+        xs, gs = np.arange(self.n, dtype=_INDEX_DTYPE), np.full(self.n, g, dtype=_INDEX_DTYPE)
+        return into(out, self.mul_pairs(xs, gs) if right else self.mul_pairs(gs, xs))
 
     def inv_all(self):
         raise NotImplementedError
@@ -123,7 +114,7 @@ class _Backend:
         raise NotImplementedError
 
     def dense_table(self):
-        """The int16 table whose row g is mul_vec(g, None), composed from the
+        """The int16 table whose row g is row(g), composed from the
         generators' rows: the row of h s is row h taken at s's row, since
         (h s) x = h (s x).  Rows are filled level by level out from the
         identity, one take per generator per level; the kernel runs only at
@@ -133,7 +124,7 @@ class _Backend:
         table[e] = np.arange(n)
         reached = np.zeros(n, dtype=bool)
         reached[e] = True
-        gens = [(s, self.mul_vec(s, None)) for s in self.generators()]
+        gens = [(s, self.row(s)) for s in self.generators()]
         frontier = np.array([e])
         while len(frontier):
             next_level = []
@@ -219,7 +210,7 @@ class _Perm(_Backend):
         self.codes = self._code(self.perms)
         # itertools emits lexicographic order, which the base-deg code preserves
         assert np.all(np.diff(self.codes) > 0)
-        self.identity = int(_lookup(self.codes, self._code(np.arange(deg)[None, :]))[0])
+        self.identity = int(self._index_of(np.arange(deg)[None, :])[0])
 
     def _code(self, perms):
         code = np.zeros(perms.shape[0], dtype=_INDEX_DTYPE)
@@ -228,14 +219,12 @@ class _Perm(_Backend):
         return code
 
     def _index_of(self, perms):
-        return _lookup(self.codes, self._code(perms))
+        return np.searchsorted(self.codes, self._code(perms))
 
-    def mul_vec(self, i, js, out=None):
-        # (p_i o p_j)(x) = p_i[p_j[x]]
-        return self._index_of(self.perms[i][self.perms[self._all(js)]])
-
-    def vec_mul(self, is_, j, out=None):
-        return self._index_of(self.perms[self._all(is_)][:, self.perms[j]])
+    def row(self, g, right=False, out=None):
+        # (p_g o p_x)(y) = p_g[p_x[y]], (p_x o p_g)(y) = p_x[p_g[y]]
+        pg = self.perms[g]
+        return into(out, self._index_of(self.perms[:, pg] if right else pg[self.perms]))
 
     def mul_pairs(self, is_, js):
         pi, pj = self.perms[np.asarray(is_)], self.perms[np.asarray(js)]
@@ -293,7 +282,7 @@ class _Mat2(_Backend):
         self._CA = np.where(u == 0, 0, p * (rank - sv) + sv)   # columns (a, c), (b, d)
         self._CB = np.stack([p * u, p * (-u % p), p * (su - 1) + sv, p * (su - 1) + sv])
         self.identity = int(self._index(1, 0, 0, 1))
-        self._work = np.empty(self.n, dtype=_INDEX_DTYPE)     # full-row scratch of _pair_mul
+        self._work = np.empty(self.n, dtype=_INDEX_DTYPE)     # scratch of row
 
     def _index(self, a, b, c, d):
         """Indices of the matrices [[a, b], [c, d]], entries reduced mod p."""
@@ -303,30 +292,25 @@ class _Mat2(_Backend):
     def _entries(self, idx):
         return divmod(self._rows[0][idx], self.p) + divmod(self._rows[1][idx], self.p)
 
-    def _pair_mul(self, x, y, z, w, pairs, A, B, idx, out):
-        """Indices of the elements idx with both pairs mapped by [[x, y], [z, w]]:
-        tables A, B composed with the map, then three gathers per element.
-        For every element (idx None) the pair tables are read as they are, and
-        with out given nothing is allocated but a few p^2-entry tables."""
+    def row(self, g, right=False, out=None):
+        """Every element with both its pairs mapped by g (or g^T): the pair
+        tables composed with that map, then three gathers per element.  With
+        out given nothing is allocated but a few p^2-entry tables."""
         p = self.p
+        a, b, c, d = (int(t) for t in self._entries(g))
+        if right:       # x g: the rows of x mapped by g^T
+            x, y, z, w, (P, Q), A, B = a, c, b, d, self._rows, self._RA, self._RB
+        else:           # g x: the columns of x mapped by g
+            x, y, z, w, (P, Q), A, B = a, b, c, d, self._cols, self._CA, self._CB
         u, v = self._uv
         M = (x * u + y * v) % p * p + (z * u + w * v) % p
         A, B, Z = A[M], B.take(M, axis=1).ravel(), self._Z[M]
-        P, Q = pairs if idx is None else (t[np.asarray(idx)] for t in pairs)
-        work = self._work if idx is None else np.empty(P.shape, dtype=_INDEX_DTYPE)
-        out = np.empty(P.shape, dtype=_INDEX_DTYPE) if out is None else out
+        work = self._work
+        out = np.empty(self.n, dtype=_INDEX_DTYPE) if out is None else out
         # mode="clip": the default "raise" copies out first; indices are in range
         np.add(Z.take(P, out=work, mode="clip"), Q, out=work)
         B.take(work, out=out, mode="clip")
         return np.add(out, A.take(P, out=work, mode="clip"), out=out)
-
-    def mul_vec(self, i, js, out=None):
-        a, b, c, d = (int(t) for t in self._entries(i))
-        return self._pair_mul(a, b, c, d, self._cols, self._CA, self._CB, js, out)  # g x: columns by g
-
-    def vec_mul(self, is_, j, out=None):
-        a, b, c, d = (int(t) for t in self._entries(j))
-        return self._pair_mul(a, c, b, d, self._rows, self._RA, self._RB, is_, out)  # x g: rows by g^T
 
     def mul_pairs(self, is_, js):
         (a, b, c, d), (x, y, z, w), p = self._entries(is_), self._entries(js), self.p
@@ -349,8 +333,8 @@ class _Mat2(_Backend):
 class _Product(_Backend):
     """A x B; index a*|B| + b encodes (a, b).  A full row is an outer sum of
     the factors' full rows, (a, b)(x, y) = (a x) * |B| + b y over every (x, y),
-    one broadcast add after one kernel row per factor (recursively for nested
-    products); index arrays are split into their factors' indices."""
+    one broadcast add after one row per factor (recursively for nested
+    products); mul_pairs splits its index arrays into their factors' indices."""
 
     def __init__(self, A, B):
         self.A, self.B = A, B
@@ -360,33 +344,20 @@ class _Product(_Backend):
     def _split(self, idx):
         return np.divmod(np.asarray(idx, dtype=_INDEX_DTYPE), self.B.n)
 
-    def _outer(self, row_a, row_b, out):
-        """row_a[:, None] * |B| + row_b[None, :], flattened, written into out
-        when given (a 1-D array reshapes as a view); only factor-sized
-        temporaries."""
-        out = np.empty(self.n, dtype=_INDEX_DTYPE) if out is None else out
-        np.add((row_a * self.B.n)[:, None], row_b[None, :],
-               out=out.reshape(self.A.n, self.B.n))
-        return out
-
     def mul_pairs(self, is_, js):
         ia, ib = self._split(is_)
         ja, jb = self._split(js)
         return self.A.mul_pairs(ia, ja) * self.B.n + self.B.mul_pairs(ib, jb)
 
-    def mul_vec(self, i, js, out=None):
-        ia, ib = divmod(int(i), self.B.n)
-        if js is None:
-            return self._outer(self.A.mul_vec(ia, None), self.B.mul_vec(ib, None), out)
-        ja, jb = self._split(js)
-        return self.A.mul_vec(ia, ja) * self.B.n + self.B.mul_vec(ib, jb)
-
-    def vec_mul(self, is_, j, out=None):
-        ja, jb = divmod(int(j), self.B.n)
-        if is_ is None:
-            return self._outer(self.A.vec_mul(None, ja), self.B.vec_mul(None, jb), out)
-        ia, ib = self._split(is_)
-        return self.A.vec_mul(ia, ja) * self.B.n + self.B.vec_mul(ib, jb)
+    def row(self, g, right=False, out=None):
+        """A.row(ga)[:, None] * |B| + B.row(gb)[None, :] for g = (ga, gb),
+        flattened, written into out when given (a 1-D array reshapes as a
+        view); only factor-sized temporaries."""
+        ga, gb = divmod(int(g), self.B.n)
+        out = np.empty(self.n, dtype=_INDEX_DTYPE) if out is None else out
+        np.add((self.A.row(ga, right) * self.B.n)[:, None], self.B.row(gb, right)[None, :],
+               out=out.reshape(self.A.n, self.B.n))
+        return out
 
     def inv_all(self):
         return (self.A.inv_all()[:, None] * self.B.n + self.B.inv_all()[None, :]).ravel()
@@ -490,15 +461,19 @@ class GroupTable:
 
     def mul_vec(self, i, js=None, out=None):
         """i * js elementwise, js None meaning every element; into out when given."""
-        if self.table is not None:
-            return into(out, self.table[i] if js is None else self.table[i, np.asarray(js)])
-        return into(out, self.backend.mul_vec(i, js, out))
+        if js is not None:
+            return into(out, self.mul_pairs(np.full(np.shape(js), i, dtype=_INDEX_DTYPE), js))
+        if self.table is None:
+            return self.backend.row(i, False, out)
+        return into(out, self.table[i])
 
     def vec_mul(self, is_, j, out=None):
         """is_ * j elementwise, is_ None meaning every element; into out when given."""
-        if self.table is not None:
-            return into(out, self.table[:, j] if is_ is None else self.table[np.asarray(is_), j])
-        return into(out, self.backend.vec_mul(is_, j, out))
+        if is_ is not None:
+            return into(out, self.mul_pairs(is_, np.full(np.shape(is_), j, dtype=_INDEX_DTYPE)))
+        if self.table is None:
+            return self.backend.row(j, True, out)
+        return into(out, self.table[:, j])
 
     def mul_pairs(self, is_, js):
         if self.table is not None:

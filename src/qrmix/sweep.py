@@ -267,7 +267,6 @@ def run_sweep(cfg):
         "all_pass": all_pass,
         "groups": groups_summary,
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_results(os.path.join(cfg.out_dir, "results.csv"), all_rows)
     write_summary(os.path.join(cfg.out_dir, "summary.json"), summary)
     return all_rows, summary
@@ -280,6 +279,8 @@ def write_csv(fh, columns, rows):
 
 
 def write_results(path, rows, columns=RESULT_COLUMNS):
+    """rows as a CSV file at path, its directory made if missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         write_csv(fh, columns, rows)
 

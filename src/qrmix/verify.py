@@ -109,7 +109,7 @@ def degrees_by_float_diagonalization(G, seed=0):
     xs = np.arange(n, dtype=np.int64)
     M = np.zeros((n, n), dtype=np.complex128)
     for g in range(n):
-        M[xs, G.vec_mul(xs, g)] += t[C.class_of[g]]
+        M[xs, G.vec_mul(None, g)] += t[C.class_of[g]]
     eig = np.sort_complex(np.linalg.eigvals(M))    # by real part, then imaginary
     degrees, i = [], 0
     while i < n:
@@ -346,7 +346,6 @@ def run_verify(out_dir, master_seed=0, profile="full", inflate_d=0):
         summary["criteria"][str(num)] = {"name": name, "pass": ok}
         print("%s  criterion %2d: %s" % ("PASS" if ok else "FAIL", num, name))
     summary["all_pass"] = all(c["pass"] for c in summary["criteria"].values())
-    os.makedirs(out_dir, exist_ok=True)
     write_results(os.path.join(out_dir, "verify_results.csv"), all_rows, CSV_COLUMNS)
     write_summary(os.path.join(out_dir, "verify_summary.json"), summary)
     return 0 if summary["all_pass"] else 1

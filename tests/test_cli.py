@@ -366,6 +366,21 @@ def test_plotdata_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["mixing", "recurrence", "vdc", "plotdata"])
+def test_out_makes_a_missing_directory(tmp_path, capsys, command):
+    # the file written under --out holds the CSV printed on stdout
+    out_dir = tmp_path / "a" / "b"
+    if command == "plotdata":
+        results = tmp_path / "results.csv"
+        write_results(str(results), [])
+        argv, name = ("plotdata", "--results", str(results)), "plot.csv"
+    else:
+        argv, name = (command, "-g", "dihedral:1", "--trials", "1"), command + ".csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert code == 0 and err == ""
+    assert (out_dir / name).read_text() == out
+
+
 # ---------------------------------------------------------------------------
 # golden outputs, written with one BLAS thread.  verify_summary.json is commit
 # 7b3b31d's, the vdc and recurrence-sl2:13 files are e4de328's.  The other three

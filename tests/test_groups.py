@@ -178,8 +178,8 @@ def test_dense_table_rows_are_the_kernel_rows(desc):
     g = 0
     for block in G.translates(np.arange(G.order), right=True):
         for right in block:
-            assert np.array_equal(G.table[g], G.backend.mul_vec(g, None)), g
-            assert np.array_equal(right, G.backend.vec_mul(None, g)), g
+            assert np.array_equal(G.table[g], G.backend.row(g)), g
+            assert np.array_equal(right, G.backend.row(g, True)), g
             g += 1
     assert g == G.order
 
@@ -260,10 +260,45 @@ def test_product_full_rows_skip_the_index_split(monkeypatch):
     assert np.array_equal(G.mul_vec(g), want_left)
     assert np.array_equal(G.vec_mul(None, g), want_right)
     out = np.empty(G.order, dtype=np.intp)
-    assert G.backend.mul_vec(g, None, out) is out
+    assert G.backend.row(g, False, out) is out
     assert np.array_equal(out, want_left)
-    assert G.backend.vec_mul(None, g, out) is out
+    assert G.backend.row(g, True, out) is out
     assert np.array_equal(out, want_right)
+
+
+# ---------------------------------------------------------------------------
+# the two kernels: a full row (backend.row) and elementwise pairs (mul_pairs)
+
+
+@pytest.mark.parametrize("desc", ["cyclic:5000", "dihedral:2500", "symmetric:7", "psl2:23",
+                                  "product:cyclic:2,sl2:13"])
+def test_index_arrays_without_dense_table_match_full_rows_and_pairs(desc):
+    # an index array goes through mul_pairs, a full row through backend.row
+    G = build_group(desc)
+    assert G.table is None
+    rng = np.random.default_rng(20)
+    js = rng.integers(0, G.order, 300)
+    out = np.empty(G.order, dtype=np.intp)
+    for g in rng.integers(0, G.order, 3):
+        gs = np.full(len(js), g)
+        left, right = G.mul_vec(g), G.vec_mul(None, g)
+        assert np.array_equal(G.mul_vec(g, js), left[js])
+        assert np.array_equal(G.mul_vec(g, js), G.mul_pairs(gs, js))
+        assert np.array_equal(G.vec_mul(js, g), right[js])
+        assert np.array_equal(G.vec_mul(js, g), G.mul_pairs(js, gs))
+        for side, want in ((False, left), (True, right)):
+            assert G.backend.row(g, side, out) is out
+            assert np.array_equal(out, want)
+
+
+def test_explicit_backend_rows_land_in_out():
+    table = build_group("sl2:5").table.astype(np.int64)
+    E = GroupTable.from_table(table)
+    out = np.empty(E.order, dtype=np.intp)
+    for g in (0, 7, 119):
+        for right, want in ((False, table[g]), (True, table[:, g])):
+            assert E.backend.row(g, right, out) is out
+            assert np.array_equal(out, want)
 
 
 # ---------------------------------------------------------------------------
