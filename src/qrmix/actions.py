@@ -176,15 +176,8 @@ class ActionTable:
             out = np.zeros(n_x, dtype=np.int64)
         elif self.kind == "conjugation":
             out = conjugacy_classes(self.group).class_of.copy()
-        else:
-            out = np.full(n_x, -1, dtype=np.int64)
-            next_id = 0
-            for seed in range(n_x):
-                if out[seed] >= 0:
-                    continue
-                members = np.unique(self._rows[:, seed])
-                out[members] = next_id
-                next_id += 1
+        else:       # x's orbit is column x of the rows: ids in order of least member
+            out = np.unique(self._rows.min(axis=0), return_inverse=True)[1]
         self._orbit_of = out
         return out
 

@@ -135,8 +135,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GroupConstructionError, ConfigError, CharacterError,
-            FileNotFoundError, ValueError) as exc:
+    except (GroupConstructionError, ConfigError, CharacterError, FileNotFoundError,
+            NotADirectoryError, IsADirectoryError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

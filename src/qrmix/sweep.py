@@ -77,8 +77,11 @@ class ExperimentConfig:
         try:
             check_samples("mixing", self.mc_samples, "mc_samples")   # its floor is the highest
             self.groups = [canonical_descriptor(g) for g in self.groups]  # raises on bad ones
-            if len(set(self.groups)) < len(self.groups):
-                raise ConfigError("groups name one group twice: %s" % ", ".join(self.groups))
+            for key in ("groups", "experiments", "actions"):
+                value = getattr(self, key)
+                if len(set(value)) < len(value):
+                    raise ConfigError("%s name one %s twice: %s"
+                                      % (key, key[:-1], ", ".join(value)))
             for g in self.groups if checks else []:
                 try:
                     order = group_order(g)

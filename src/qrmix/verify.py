@@ -34,7 +34,7 @@ from .actions import (
     random_observable,
 )
 from .characters import character_degrees, quasirandom_degree
-from .groups import PASS_TOL, build_group, conjugacy_classes
+from .groups import PASS_TOL, build_group, conjugacy_classes, row_chunks
 from .mixing import (
     mixing_error,
     monte_carlo_mixing_error,
@@ -108,8 +108,8 @@ def degrees_by_float_diagonalization(G, seed=0):
     t = rng.uniform(1.0, 2.0, C.k) + 1j * rng.uniform(1.0, 2.0, C.k)
     xs = np.arange(n, dtype=np.int64)
     M = np.zeros((n, n), dtype=np.complex128)
-    for g in range(n):
-        M[xs, G.vec_mul(None, g)] += t[C.class_of[g]]
+    for gs, rows in zip(row_chunks(xs, n), G.translates(xs, right=True)):
+        M[xs, rows] += t[C.class_of[gs]][:, None]   # no (x, x g) repeats within a block
     eig = np.sort_complex(np.linalg.eigvals(M))    # by real part, then imaginary
     degrees, i = [], 0
     while i < n:

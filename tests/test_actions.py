@@ -288,6 +288,26 @@ def test_custom_action_accepts_genuine_action():
     assert a.act(1, 0) == np.roll(np.arange(4), 1)[0]
 
 
+def test_orbit_of_custom_action_with_two_orbits():
+    # symmetric:3 on six points: 0 fixed, its natural action on 1, 3, 5, its sign on 2, 4
+    G = build_group("symmetric:3")
+    perms = G.backend.perms
+    odd = np.array([sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2
+                    for p in perms], dtype=bool)
+    rows = np.zeros((G.order, 6), dtype=np.int64)
+    rows[:, [1, 3, 5]] = np.array([1, 3, 5])[perms]
+    rows[:, 2] = np.where(odd, 4, 2)
+    rows[:, 4] = np.where(odd, 2, 4)
+    a = ActionTable(G, ProbabilitySpace.uniform(6), "custom", rows=rows)
+    expected, next_id = np.full(6, -1), 0      # orbit ids in order of least member
+    for x in range(6):
+        if expected[x] < 0:
+            for g in range(G.order):
+                expected[rows[g, x]] = next_id
+            next_id += 1
+    assert a.orbit_of().tolist() == expected.tolist() == [0, 1, 2, 1, 2, 1]
+
+
 # ---------------------------------------------------------------------------
 # random observables
 

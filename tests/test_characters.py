@@ -143,6 +143,20 @@ def test_rref_and_nullspace_of_rank_deficient_matrices(q, shape, rank, zero_col)
     assert len(pivots) + len(basis) == shape[1]
 
 
+def test_is_prime_matches_a_sieve():
+    # every n asked about is below 2^31 (PRIME_SEARCH_LIMIT)
+    n = 10**5
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    assert [_is_prime(q) for q in range(n)] == sieve.tolist()
+    # 2^31 - 1, the Dixon primes of psl2:101 and sl2:97, and 46327 * 46337 < 2^31
+    assert _is_prime(2**31 - 1) and _is_prime(1_030_201) and _is_prime(3_194_017)
+    assert not _is_prime(46327 * 46337)
+
+
 def test_degrees_on_int64_products(monkeypatch):
     # a prime q = 1 (mod exponent) above 2^27 puts every product of the split
     # on int64, (q - 1)^2 >= 2^53, and passes the guard k (q - 1)^2 < 2^63

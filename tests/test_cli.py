@@ -202,6 +202,7 @@ def test_config_invariants():
     {"trials": "3"}, {"trials": 1.5}, {"trials": True}, {"groups": "cyclic:5"},
     {"groups": []}, {"experiments": []}, {"actions": []}, {"mc_samples": 5},
     {"master_seed": -1}, {"groups": ["sl2:05", "sl2:5"]}, {"mc_samples": 10**6 + 1},
+    {"experiments": ["mixing", "mixing"]}, {"actions": ["left", "left"]},
 ], ids=lambda o: json.dumps(o))
 def test_sweep_rejects_invalid_config(tmp_path, capsys, overrides):
     code, out, err = run_cli(capsys, "sweep", "--config", _config(tmp_path, **overrides))
@@ -307,6 +308,7 @@ def test_sweep_rejects_non_object_config(tmp_path, capsys):
     ("verify", "--profile", "quick", "--inflate-d", "-1"),
     ("verify", "--profile", "quick", "--seed", "-1"),
     ("mixing", "-g", "cyclic:5", "--seed", "-1"),
+    ("mixing", "-g", "sl2:2305843009213693951", "--trials", "1"),
     # sample counts above the ceiling: refused before any O(samples) array
     ("recurrence", "-g", "sl2:37", "--trials", "1", "--mc", "1000000000000"),
     ("vdc", "-g", "sl2:13", "--trials", "1", "--mc", "100000000"),
@@ -390,8 +392,9 @@ def test_out_makes_a_missing_directory(tmp_path, capsys, command):
 # sampled mixing and recurrence (psl2:7 is above exact_max_order 100), and vdc.
 
 
-def _run_qrmix(argv, out_dir, blas_threads="1"):
-    """Run qrmix in a fresh process, with --out unless out_dir is None; its stdout."""
+def _run_qrmix(argv, out_dir, blas_threads="1", code=0):
+    """Run qrmix in a fresh process, with --out unless out_dir is None; the
+    finished process, once it has exited with code."""
     here = os.path.dirname(os.path.abspath(__file__))
     threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), blas_threads)
     env = dict(os.environ, **threads,
@@ -401,8 +404,20 @@ def _run_qrmix(argv, out_dir, blas_threads="1"):
     out = () if out_dir is None else ("--out", str(out_dir))
     run = subprocess.run([sys.executable, "-m", "qrmix", *argv, *out],
                          env=env, capture_output=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    return run.stdout
+    assert run.returncode == code, run.stderr
+    return run
+
+
+@pytest.mark.parametrize("argv", [("mixing", "-g", "cyclic:5", "--out", "{file}/x"),
+                                  ("verify", "--profile", "quick", "--out", "{file}/x"),
+                                  ("plotdata", "--results", "{dir}"),
+                                  ("sweep", "--config", "{dir}")], ids=lambda a: a[0])
+def test_path_of_the_wrong_kind_exits_2(tmp_path, argv):
+    # NotADirectoryError and IsADirectoryError: one error line, no traceback
+    (tmp_path / "file").write_text("")
+    argv = [a.format(file=tmp_path / "file", dir=tmp_path) for a in argv]
+    err = _run_qrmix(argv, None, code=2).stderr.decode()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -436,7 +451,7 @@ def _assert_same_bytes_at_one_and_two_threads(tmp_path, argv, name):
     outputs = []
     for threads in ("1", "2"):
         if name is None:
-            outputs.append(_run_qrmix(argv, None, threads))
+            outputs.append(_run_qrmix(argv, None, threads).stdout)
         else:
             (tmp_path / threads).mkdir()
             _run_qrmix(argv, tmp_path / threads, threads)

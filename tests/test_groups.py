@@ -306,7 +306,8 @@ def test_explicit_backend_rows_land_in_out():
 
 
 @pytest.mark.parametrize("desc", ["symmetric:3", "symmetric:4", "dihedral:4",
-                                  "sl2:5", "product:cyclic:2,symmetric:3"])
+                                  "sl2:5", "product:cyclic:2,symmetric:3",
+                                  "cyclic:1", "dihedral:1", "psl2:7"])
 def test_conjugacy_partition_matches_brute_force(desc):
     G = build_group(desc)
     C = conjugacy_classes(G)
@@ -316,15 +317,16 @@ def test_conjugacy_partition_matches_brute_force(desc):
 
 
 def test_class_equation_and_ordering():
-    for desc in ["symmetric:4", "sl2:5", "psl2:5", "dihedral:6"]:
+    for desc in ["symmetric:4", "sl2:5", "psl2:5", "dihedral:6", "psl2:101", "symmetric:8"]:
         G = build_group(desc)
         C = conjugacy_classes(G)
         assert sum(C.class_sizes) == G.order
         assert all(G.order % s == 0 for s in C.class_sizes)
-        assert C.class_sizes == sorted(C.class_sizes) or all(
-            (C.class_sizes[i], C.representatives[i]) <= (C.class_sizes[i + 1],
-                                                         C.representatives[i + 1])
-            for i in range(C.k - 1))
+        assert np.bincount(C.class_of).tolist() == C.class_sizes
+        keys = list(zip(C.class_sizes, C.representatives))
+        assert all(a < b for a, b in zip(keys, keys[1:]))      # strictly ascending
+        # the first index of each class in class_of is its least member
+        assert np.unique(C.class_of, return_index=True)[1].tolist() == C.representatives
         assert C.class_of[G.identity] == 0 and C.class_sizes[0] == 1
 
 
@@ -381,7 +383,10 @@ def test_parse_descriptor_roundtrip():
 @pytest.mark.parametrize("bad", ["", "cyclic", "cyclic:", "frobnitz:5",
                                  "symmetric:9", "sl2:2", "sl2:9", "sl2:103",
                                  "psl2:4", "cyclic:5junk", "product:cyclic:2",
-                                 "product:cyclic:2,cyclic:3,"])
+                                 "product:cyclic:2,cyclic:3,",
+                                 # primes far above 101: refused before any primality test
+                                 "sl2:2305843009213693951",
+                                 "psl2:618970019642690137449562111"])
 def test_bad_descriptors_rejected(bad):
     with pytest.raises(GroupConstructionError):
         build_group(bad)
