@@ -7,10 +7,13 @@ from the central-character orthogonality relation
 d^2 * sum_j w(C_j) w(C_j)* / |C_j| = |G| evaluated mod q.
 
 The class matrices are built lazily, one group row each, and only as many
-as the split reads before every eigenspace is a line.  The eigenspaces are
-split without polynomials: on a space where a class matrix R is not scalar,
-(R + aI)^((q-1)/2) takes the quadratic character of lambda + a on each
-eigenvector, and its 0, 1 and -1 eigenspaces split the space for the first
+as the split reads before every eigenspace is a line.  They are read one
+class of each size first, then a second of each size, and so on, since
+classes of one size often separate the same characters.  The eigenspaces
+are split without polynomials: on a space where a class matrix R is not
+scalar, A = (R + aI)^((q-1)/2) takes the quadratic character of lambda + a
+on each eigenvector, so A^3 = A, and the images of its projectors
+I - A^2, (A^2 + A)/2 and (A^2 - A)/2 split the space for the first
 a = 0, 1, ... that separates two eigenvalues.  Each common eigenvector is
 proportional to a character's central idempotent, so the central character
 w is read off the vector itself.
@@ -159,18 +162,6 @@ def _rref(A, q):
     return A[:len(pivots)], pivots
 
 
-def _nullspace(A, q):
-    """Rows form a basis of the right kernel of A (one per free column, not in rref)."""
-    R, pivots = _rref(A, q)
-    free = np.ones(A.shape[1], dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    basis = np.zeros((len(free), A.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -R[:, free].T % q
-    return basis
-
-
 def _matpow(A, e, q):
     """A^e over F_q by repeated squaring."""
     out = np.eye(len(A), dtype=np.int64)
@@ -188,9 +179,11 @@ def _split_spaces(mats, q):
 
     A space B on which M is not scalar is split by the quadratic character of
     lambda + a: A = (R + aI)^((q-1)/2), R the restriction of M to B, is 0, 1 or
-    -1 on each eigenvector of R, so the left kernels of A, A - I and A + I
-    split B for the first a = 0, 1, ... that leaves two of them non-empty.
-    An A of 0, I or -I has one of them all of B, and is passed over unsolved.
+    -1 on each eigenvector of R.  So A^3 = A when R splits over F_q, and the
+    images of the projectors I - A^2, (A^2 + A)/2 and (A^2 - A)/2 onto its 0,
+    1 and -1 eigenspaces split B for the first a = 0, 1, ... that leaves two
+    of them non-zero.  An A of 0, I or -I is passed over unsolved, and any
+    other A with A^3 != A is refused: R does not split.
     """
     spaces = None
     for M in mats:
@@ -215,15 +208,14 @@ def _split_spaces(mats, q):
                 A = _matpow((R + a * eye) % q, (q - 1) // 2, q)
                 if A[0, 0] in (0, 1, q - 1) and np.array_equal(A, A[0, 0] * eye):
                     continue
-                # left kernels: rows c with c A = 0, c, -c
-                parts = [_nullspace(((A - s * eye) % q).T, q) for s in (0, 1, -1)]
-                parts = [c for c in parts if len(c)]
-                if sum(len(c) for c in parts) != d:
-                    raise CharacterError("kernels do not span the space: "
-                                         "the class matrix does not split over F_%d" % q)
-                if len(parts) > 1:
-                    todo += [_rref(_mulmod(c, B, q), q)[0] for c in parts]
-                    break
+                A2 = _mulmod(A, A, q)
+                if not np.array_equal(_mulmod(A2, A, q), A):
+                    raise CharacterError("A^3 != A: the class matrix does not split over F_%d" % q)
+                # row images of the projectors, rows c with c A = 0, c, -c; the
+                # factor 1/2 leaves an image as it is and is dropped
+                parts = [_rref(_mulmod(P % q, B, q), q)[0] for P in (eye - A2, A2 + A, A2 - A)]
+                todo += [c for c in parts if len(c)]     # two or more: A is not scalar
+                break
             else:
                 raise CharacterError("eigenspace splitting stalled (implementation bug)")
         spaces = done
@@ -249,7 +241,14 @@ def character_degrees(G):
     if k * (q - 1) ** 2 >= 2**63:
         raise CharacterError("k (q-1)^2 >= 2^63 at k = %d, q = %d: int64 overflow" % (k, q))
     e = int(C.class_of[G.identity])     # its class matrix is I, which splits nothing
-    vectors = _split_spaces((M % q for M in class_matrices(G, C, (i for i in range(k) if i != e))), q)
+    # the other classes, one of each size, then a second of each, ...: classes
+    # of one size are often one family and separate the same characters.  They
+    # ascend by size, so a class's rank within its size is its index past the first
+    rest = np.delete(np.arange(k), e)
+    rest_sizes = np.asarray(C.class_sizes)[rest]
+    rank = np.arange(k - 1) - np.searchsorted(rest_sizes, rest_sizes)
+    order = rest[np.argsort(rank, kind="stable")].tolist()
+    vectors = _split_spaces((M % q for M in class_matrices(G, C, order)), q)
     inv_class = C.class_of[G.inv[C.representatives]]
     sizes = np.asarray(C.class_sizes, dtype=np.int64) % q
     size_inv = np.array([pow(int(s), q - 2, q) for s in sizes], dtype=np.int64)

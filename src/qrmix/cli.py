@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: degrees, mixing, recurrence, vdc, sweep, plotdata, verify.
-Exit status: 0 all pass, 1 any bound violation, 2 usage/config error.
+Exit status: 0 all pass, 1 any bound violation or a closed output pipe,
+2 usage/config error.
 """
 
 from __future__ import annotations
@@ -134,7 +135,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()      # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped reading (`| head`): point stdout at devnull so the
+        # exit's own flush writes nowhere, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (GroupConstructionError, ConfigError, CharacterError, FileNotFoundError,
             NotADirectoryError, IsADirectoryError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

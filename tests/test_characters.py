@@ -31,17 +31,34 @@ def test_class_constants_match_brute_force(desc):
     assert np.array_equal(got, oracles.brute_force_class_constants(G))
 
 
-def test_degrees_build_only_the_class_matrices_the_split_reads():
-    # symmetric:8 has k = 22 classes; its split is done after a few matrices,
-    # each built from one kernel row
-    G = build_group("symmetric:8")
-    k = conjugacy_classes(G).k
+def _rows_the_split_reads(G):
+    """Kernel rows character_degrees(G) builds past the conjugacy classes:
+    one per class matrix."""
+    conjugacy_classes(G)
     calls = []
     for name in ("mul_vec", "vec_mul"):
         method = getattr(G, name)
         setattr(G, name, lambda *a, method=method, **kw: calls.append(a) or method(*a, **kw))
     character_degrees(G)
-    assert 0 < len(calls) < k == 22
+    return len(calls)
+
+
+def test_degrees_build_only_the_class_matrices_the_split_reads():
+    # symmetric:8 has k = 22 classes; its split is done after a few matrices,
+    # each built from one kernel row
+    G = build_group("symmetric:8")
+    assert 0 < _rows_the_split_reads(G) < conjugacy_classes(G).k == 22
+
+
+@pytest.mark.parametrize("desc, most", [
+    ("psl2:101", 10), ("sl2:37", 12), ("product:sl2:5,product:sl2:5,cyclic:2", 14),
+    ("cyclic:60", 1)])
+def test_split_reads_one_class_of_each_size_first(desc, most):
+    # read in size order, psl2:101's 25 classes of size p(p + 1) come before
+    # the first split-torus class: 29 matrices, against 26 for sl2:37 and 24
+    # for the k = 162 product.  On cyclic:60 every class has size 1, and the
+    # first after the identity, a generator's, splits everything
+    assert 0 < _rows_the_split_reads(build_group(desc)) <= most
 
 
 def test_class_constants_counting_identity():
@@ -138,9 +155,22 @@ def test_rref_and_nullspace_of_rank_deficient_matrices(q, shape, rank, zero_col)
     assert pivots == want_pivots and R.tolist() == want
     assert pivots == sorted(set(pivots)) and np.array_equal(R[:, pivots], np.eye(len(pivots)))
     assert all(not R[i, :c].any() for i, c in enumerate(pivots))
-    basis = characters._nullspace(A, q)
-    assert not (A.astype(object) @ basis.T.astype(object) % q).any()
-    assert len(pivots) + len(basis) == shape[1]
+    # the split by projector images: M = S^-1 D S over F_421, D with distinct
+    # eigenvalues, has S's rows as left eigenvectors, the column eigenvectors
+    # of M^T, each found scaled to a leading 1
+    p, d = 421, 5
+    S = rng.integers(0, p, (d, d))
+    while len(characters._rref(S, p)[1]) < d:
+        S = rng.integers(0, p, (d, d))
+    S_inv = characters._rref(np.hstack([S, np.eye(d, dtype=np.int64)]), p)[0][:, d:]
+    M = S_inv @ np.diag(rng.choice(p, d, replace=False)) % p @ S % p
+    lead = S[np.arange(d), np.argmax(S != 0, axis=1)]
+    want = S * np.array([pow(int(x), p - 2, p) for x in lead])[:, None] % p
+    got = characters._split_spaces([M.T], p)
+    assert sorted(map(tuple, np.array(got).tolist())) == sorted(map(tuple, want.tolist()))
+    # a Jordan block has A^3 != A at a = 0: A = [[1, 210], [0, 1]]
+    with pytest.raises(CharacterError, match="does not split"):
+        characters._split_spaces([np.array([[1, 1], [0, 1]])], p)
 
 
 def test_is_prime_matches_a_sieve():

@@ -392,20 +392,38 @@ def test_out_makes_a_missing_directory(tmp_path, capsys, command):
 # sampled mixing and recurrence (psl2:7 is above exact_max_order 100), and vdc.
 
 
+def _qrmix_env(blas_threads="1"):
+    """The environment of a fresh qrmix process: this tree's src first, at
+    blas_threads BLAS threads."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), blas_threads)
+    return dict(os.environ, **threads,
+                PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"),
+                                            os.environ.get("PYTHONPATH", "")]))
+
+
 def _run_qrmix(argv, out_dir, blas_threads="1", code=0):
     """Run qrmix in a fresh process, with --out unless out_dir is None; the
     finished process, once it has exited with code."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), blas_threads)
-    env = dict(os.environ, **threads,
-               PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"),
-                                           os.environ.get("PYTHONPATH", "")]))
     # the timeout fails a run that hangs instead of stalling the suite
     out = () if out_dir is None else ("--out", str(out_dir))
     run = subprocess.run([sys.executable, "-m", "qrmix", *argv, *out],
-                         env=env, capture_output=True, timeout=300)
+                         env=_qrmix_env(blas_threads), capture_output=True, timeout=300)
     assert run.returncode == code, run.stderr
     return run
+
+
+def test_closed_output_pipe_exits_without_traceback():
+    # `qrmix mixing -g cyclic:50 --trials 3000 | head -1`: the 214 kB of rows
+    # outgrow the pipe's buffer, so qrmix is still writing when the reader
+    # closes it, and exits 1 as Python does on EPIPE
+    proc = subprocess.Popen([sys.executable, "-m", "qrmix", "mixing", "-g", "cyclic:50",
+                             "--trials", "3000"], env=_qrmix_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"group,order,")
+    proc.stdout.close()
+    err = proc.communicate(timeout=300)[1].decode()
+    assert proc.returncode == 1 and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("argv", [("mixing", "-g", "cyclic:5", "--out", "{file}/x"),
