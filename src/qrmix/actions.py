@@ -36,7 +36,10 @@ class ProbabilitySpace:
 
     @classmethod
     def uniform(cls, n):
-        return cls(np.full(n, 1.0 / n))
+        """The uniform measure on n points.  Its weights are one float 1/n
+        broadcast to n entries (stride 0, read-only): every operation reads
+        the same values as from a full array, and the space costs no 8n bytes."""
+        return cls(np.broadcast_to(1.0 / n, n))
 
     def __eq__(self, other):
         return isinstance(other, ProbabilitySpace) and np.array_equal(self.weights, other.weights)
@@ -111,15 +114,29 @@ class ActionTable:
             self._validate_custom()
 
     def _validate_custom(self):
-        G, rows = self.group, self._rows
-        xs = np.arange(self.space.size)
-        if not np.array_equal(rows[G.identity], xs):
+        """Identity, then per element in order bijectivity and the measure (the
+        first failing element is named), then a sampled associativity check."""
+        G, rows, w = self.group, self._rows, self.space.weights
+        n = self.space.size
+        if not np.array_equal(rows[G.identity], np.arange(n)):
             raise ActionValidationError("identity does not act trivially")
-        for g in range(G.order):
-            if np.bincount(rows[g], minlength=self.space.size).max() != 1:
-                raise ActionValidationError("element %d does not act bijectively" % g)
-            if np.max(np.abs(self.space.weights[rows[g]] - self.space.weights)) > _WEIGHT_TOL:
-                raise ActionValidationError("element %d does not preserve the measure" % g)
+        for chunk in row_chunks(np.arange(G.order), n):
+            block = rows[chunk]
+            in_range = (block.min(axis=1) >= 0) & (block.max(axis=1) < n)
+            moved = np.take(w, block, mode="clip")     # a row out of range fails bijectivity
+            moved -= w
+            moves = np.abs(moved, out=moved).max(axis=1) > _WEIGHT_TOL
+            block[~in_range] = 0            # so that its points stay in its own bins below
+            # row i counts its points in bins i*n .. i*n + n - 1: bijective when none holds two
+            block += np.arange(0, block.size, n)[:, None]
+            counts = np.bincount(block.ravel(), minlength=block.size).reshape(block.shape)
+            not_bijective = ~in_range | (counts.max(axis=1) > 1)
+            bad = np.flatnonzero(not_bijective | moves)
+            if len(bad):
+                i = bad[0]
+                if not_bijective[i]:
+                    raise ActionValidationError("element %d does not act bijectively" % chunk[i])
+                raise ActionValidationError("element %d does not preserve the measure" % chunk[i])
         rng = np.random.default_rng(0)
         m = min(G.order * G.order, 10_000)
         gs = rng.integers(0, G.order, m)
@@ -168,14 +185,16 @@ class ActionTable:
         return np.concatenate([b.astype(np.int32) for b in self.inv_rows(np.arange(G.order))])
 
     def orbit_of(self):
-        """Orbit index per point of X (orbits of the full group action)."""
+        """Orbit index per point of X (orbits of the full group action), cached.
+        Left and right have one orbit: a read-only int64 zero broadcast to |X|.
+        Conjugation returns conjugacy_classes(G).class_of itself, read-only."""
         if self._orbit_of is not None:
             return self._orbit_of
         n_x = self.space.size
         if self.kind in ("left", "right"):
-            out = np.zeros(n_x, dtype=np.int64)
+            out = np.broadcast_to(np.int64(0), n_x)
         elif self.kind == "conjugation":
-            out = conjugacy_classes(self.group).class_of.copy()
+            out = conjugacy_classes(self.group).class_of
         else:       # x's orbit is column x of the rows: ids in order of least member
             out = np.unique(self._rows.min(axis=0), return_inverse=True)[1]
         self._orbit_of = out

@@ -654,12 +654,15 @@ def conjugacy_classes(G):
         low = low[low]
         if np.array_equal(low, last):   # a fixed point: low[x] is the least of x's class
             break
-    reps, class_of, sizes = np.unique(low, return_inverse=True, return_counts=True)
+    reps = np.flatnonzero(low == np.arange(G.order))  # each class's least member, ascending
+    sizes = np.bincount(low)[reps]
     order = np.lexsort((reps, sizes))               # by (size, least member)
-    rank = np.empty(len(order), dtype=_INDEX_DTYPE)
-    rank[order] = np.arange(len(order))
+    label = np.empty(G.order, dtype=_INDEX_DTYPE)   # class id, read at the least members
+    label[reps[order]] = np.arange(len(order))
+    class_of = label[low]
+    class_of.flags.writeable = False                # the conjugation action shares it
     data = ConjugacyData(
-        class_of=rank[class_of],
+        class_of=class_of,
         class_sizes=sizes[order].tolist(),
         representatives=reps[order].tolist(),
     )

@@ -139,7 +139,9 @@ def _triple_errors(G, f1, f2, f3, gs, f3_inf):
     avg_y h(gy) f2(y) with h = f1 P_c f3.  Case ii, with f3 - P_c f3, is the
     total less case i.  The case bounds rest on ||P_c f3||_inf <= ||f3||_inf
     (f3_inf) and ||f3 - P_c f3||_2 <= ||f3||_2: a PreconditionError if either
-    fails.
+    fails.  P_l f2 and P_c f3 are dropped once the reference term and h are
+    formed, so beside its inputs a sampled call holds about six complex
+    |G|-long arrays at its peak.
     """
     pl2 = invariant_projection(cached_action(G, "left"), f2)
     pc3 = invariant_projection(cached_action(G, "conjugation"), f3)
@@ -151,6 +153,7 @@ def _triple_errors(G, f1, f2, f3, gs, f3_inf):
     v1 = f1.values
     ref_tot = complex(np.sum(v1 * pl2.values * pc3.values * w))
     u, h = f2.values * w, v1 * pc3.values
+    del pl2, pc3        # the per-g loop, where the peak sits, reads neither
     gs = np.arange(G.order) if gs is None else gs
     blocks = zip(gather_blocks(G.translates(gs), v1, h),
                  gather_blocks(G.translates(gs, right=True), f3.values))

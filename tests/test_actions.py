@@ -237,6 +237,17 @@ def test_conjugation_projection_is_class_average():
             assert np.all(pf.values[members] == pf.values[members[0]])
 
 
+def test_orbit_labels_are_cached_read_only_and_shared_with_the_classes():
+    G = build_group("psl2:7")
+    labels = {kind: cached_action(G, kind).orbit_of() for kind in ("left", "right", "conjugation")}
+    assert labels["conjugation"] is conjugacy_classes(G).class_of
+    for kind, orbit_of in labels.items():
+        assert orbit_of is cached_action(G, kind).orbit_of()
+        with pytest.raises(ValueError):
+            orbit_of[1] = 1
+    assert labels["left"].strides == (0,) and labels["left"].tolist() == [0] * G.order
+
+
 def test_mean_ergodic_orthogonality():
     # <f - P f, phi> = 0 for every invariant phi (here phi = P h)
     G = build_group("sl2:5")
@@ -279,6 +290,33 @@ def test_custom_action_rejects_non_associative():
     rows[1] = np.roll(np.arange(4), 1)      # g=1 acts, others don't: not an action
     with pytest.raises(ActionValidationError):
         ActionTable(G, ProbabilitySpace.uniform(4), "custom", rows=rows)
+
+
+_FAULTS = {
+    "swap": ("preserve the measure", lambda row: row.__setitem__([0, 1], [1, 0])),
+    "repeat": ("act bijectively", lambda row: row.__setitem__(0, 1)),
+    "out of range": ("act bijectively", lambda row: row.__setitem__(0, len(row))),
+    "below range": ("act bijectively", lambda row: row.__setitem__(len(row) - 1, -1)),
+}
+
+
+@pytest.mark.parametrize("low, high, same_block", [(5, 9, True), (5, 250, False)])
+@pytest.mark.parametrize("low_fault, high_fault", [("swap", "repeat"), ("repeat", "swap"),
+                                                   ("out of range", "swap"), ("swap", "out of range"),
+                                                   ("below range", "swap")])
+def test_custom_action_names_the_lowest_failing_element(low, high, same_block, low_fault,
+                                                        high_fault):
+    # the trivial action of cyclic:300 on 300 points of distinct weights
+    G = build_group("cyclic:300")
+    n = G.order
+    assert (low // (ROW_BLOCK // n) == high // (ROW_BLOCK // n)) == same_block
+    rows = np.tile(np.arange(n), (n, 1))
+    _FAULTS[low_fault][1](rows[low])
+    _FAULTS[high_fault][1](rows[high])
+    space = ProbabilitySpace(np.arange(1, n + 1) / (n * (n + 1) / 2))
+    with pytest.raises(ActionValidationError,
+                       match="^element %d does not %s$" % (low, _FAULTS[low_fault][0])):
+        ActionTable(G, space, "custom", rows=rows)
 
 
 def test_custom_action_accepts_genuine_action():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrmix import (
+    ActionTable,
     Observable,
     PreconditionError,
     ProbabilitySpace,
@@ -17,13 +18,16 @@ from qrmix import (
     conjugacy_classes,
     correlation_family,
     gram_identity_check,
+    inner,
     invariant_projection,
     mixing_error,
+    quasirandom_degree,
     random_observable,
     triple_product_average,
     triple_recurrence_error,
     vdc_check,
 )
+from qrmix import groups
 from qrmix.groups import ROW_BLOCK
 
 from oracles import bessel_check
@@ -242,6 +246,56 @@ def test_recurrence_errors_match_literal_recomputation(desc, mode):
     want = _literal_triple_errors(G, f1, f2, f3, gs)
     got = (rep.measured_total, rep.measured_case_i, rep.measured_case_ii)
     assert got == pytest.approx(tuple(want), rel=1e-12, abs=0)
+
+
+def test_sampled_recurrence_memory_budget():
+    """A sampled recurrence on sl2:37 peaks at fewer than seven complex |G|
+    arrays beyond its inputs and leaves no |G|-long array behind: uniform
+    weights and one-orbit labels are broadcast scalars, conjugation shares
+    the class labels, and P_l f2 and P_c f3 are dropped before the g loop."""
+    G = build_group("sl2:37")
+    n = G.order
+    space = cached_action(G, "left").space
+    cached_action(G, "conjugation")
+    quasirandom_degree(G)               # characters and classes, kept by G
+    f1, f2, f3 = _triple(space, 88)
+    tracemalloc.start()
+    try:
+        triple_recurrence_error(G, f1, f2, f3, mode="monte_carlo", samples=2, seed=3)
+        left_behind, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 16 * n
+    assert left_behind < n
+    w = ProbabilitySpace.uniform(n).weights
+    assert w.strides == (0,) and not w.flags.writeable
+
+
+@pytest.mark.parametrize("desc", ["sl2:5", "psl2:7"])
+def test_broadcast_uniform_weights_give_bitwise_equal_results(desc, monkeypatch):
+    """Every check reads the same values from broadcast uniform weights as from
+    a full array of 1/n, in the same order: results equal under ==."""
+    G = build_group(desc)
+    n = G.order
+
+    def results(space):
+        f1, f2, f3 = _triple(space, 89)
+        out = [f1.norm2, inner(space, f1, f2)]
+        out += [mixing_error(ActionTable(G, space, kind), f1, f2) for kind in ("left", "right", "conjugation")]
+        for mode in ("exact", "monte_carlo"):
+            rep = triple_recurrence_error(G, f1, f2, f3, mode=mode, samples=40, seed=5)
+            out += [rep.measured_total, rep.measured_case_i, rep.measured_case_ii]
+        out.append(vdc_check(correlation_family(G, f2, f3), f1))
+        with monkeypatch.context() as m:
+            m.setattr(groups, "VDC_EXACT_MAX", 0)       # sampled (g, h) pairs on a small group
+            out.append(vdc_check(correlation_family(G, f2, f3), f1, samples=60, seed=6))
+        return out
+
+    uniform = ProbabilitySpace.uniform(n)
+    assert uniform.weights.strides == (0,)
+    got, want = results(uniform), results(ProbabilitySpace(np.full(n, 1.0 / n)))
+    assert want[-1].mode == "monte_carlo"
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
