@@ -14,7 +14,11 @@ are split without polynomials: on a space where a class matrix R is not
 scalar, A = (R + aI)^((q-1)/2) takes the quadratic character of lambda + a
 on each eigenvector, so A^3 = A, and the images of its projectors
 I - A^2, (A^2 + A)/2 and (A^2 - A)/2 split the space for the first
-a = 0, 1, ... that separates two eigenvalues.  Each common eigenvector is
+a = 0, 1, ... that separates two eigenvalues.  R is read once per space
+and class matrix at width k; the whole split of that space then runs in
+R's own d coordinates, on d x d matrices, and only the final pieces return
+to width k.  While d < q the projectors' ranks are read off the traces of A
+and A^2 and end each elimination early.  Each common eigenvector is
 proportional to a character's central idempotent, so the central character
 w is read off the vector itself.
 
@@ -22,7 +26,9 @@ Products over F_q run as float64 matrix products (BLAS) and are exact: with
 residues below q and inner size k, every partial sum is an integer of at
 most k (q - 1)^2, and when that is below 2^53 the float64 sums are exact in
 any order.  Above it they run as int64 products, without BLAS.  So the
-degrees do not depend on the BLAS build or its thread count.
+degrees do not depend on the BLAS build or its thread count.  Elimination
+reduces mod q lazily, and the same bound k (q - 1)^2 < 2^63 keeps its int64
+entries exact.
 """
 
 from __future__ import annotations
@@ -135,89 +141,153 @@ def _mulmod(A, B, q):
     return A @ B % q
 
 
-def _rref(A, q):
+def _rref(A, q, rank=None):
     """Reduced row-echelon form of the residue matrix A over F_q, and its
-    pivot columns.  Each pivot is the first nonzero column of the rows not
-    yet reduced, and elimination stops once those rows are zero.  Row r is
-    zero left of its pivot c, so its update touches columns c onward only."""
+    pivot columns.  Each pivot is the first column nonzero mod q in the rows
+    not yet reduced.  Given the rank, elimination stops after rank pivots
+    (and a shortfall is refused); otherwise it scans to the last column or
+    row.  Row r is zero left of its pivot c, so its update touches columns c
+    onward only.
+
+    Reduction is lazy: only the pivot column and the pivot row are reduced
+    mod q before each update, so an update subtracts from each entry a
+    product of two residues, at most (q - 1)^2, and the returned rows are
+    reduced once at the end.  After at most min(A.shape) updates every entry
+    lies in (-min(A.shape) (q - 1)^2, q), exact in int64 under the guard
+    k (q - 1)^2 < 2^63 of character_degrees.
+    """
     A = A % q
     rows, cols = A.shape
+    stop = min(rows, cols) if rank is None else rank
     pivots = []
     c = 0
-    for r in range(rows):
-        nz = np.flatnonzero(A[r:, c:].any(axis=0))
+    while len(pivots) < stop and c < cols:
+        r = len(pivots)
+        col = A[:, c] % q
+        nz = np.flatnonzero(col[r:])
         if not len(nz):
-            break
-        c += int(nz[0])
-        lead = r + int(np.argmax(A[r:, c] != 0))
+            c += 1
+            continue
+        lead = r + int(nz[0])
         if lead != r:
             A[[r, lead]] = A[[lead, r]]
-        A[r, c:] = A[r, c:] * pow(int(A[r, c]), q - 2, q) % q
-        f = A[:, c].copy()
-        f[r] = 0
-        A[:, c:] -= np.outer(f, A[r, c:])
-        A[:, c:] %= q
+            col[[r, lead]] = col[[lead, r]]
+        row = A[r, c:] % q * pow(int(col[r]), q - 2, q) % q
+        col[r] = 0
+        A[:, c:] -= np.outer(col, row)
+        A[r, c:] = row
         pivots.append(c)
         c += 1
-    return A[:len(pivots)], pivots
+    if len(pivots) < stop and rank is not None:
+        raise CharacterError("rank below %d (implementation bug)" % rank)
+    return A[:len(pivots)] % q, pivots
 
 
 def _matpow(A, e, q):
-    """A^e over F_q by repeated squaring."""
-    out = np.eye(len(A), dtype=np.int64)
-    while e:
+    """A^e over F_q, e >= 1, by repeated squaring from A itself; A may be a
+    stack of square matrices, each raised to the e-th power."""
+    out = None
+    while True:
         if e & 1:
-            out = _mulmod(out, A, q)
-        A = _mulmod(A, A, q)
+            out = A if out is None else _mulmod(out, A, q)
         e >>= 1
-    return out
+        if not e:
+            return out
+        A = _mulmod(A, A, q)
+
+
+def _split_step(S, q):
+    """A = (S + aI)^((q-1)/2) and A^2 for the first a = 0, 1, ... at which A
+    is not 0, I or -I, two shifts to one stacked _matpow; refused when A^3 != A."""
+    eye = np.eye(len(S), dtype=np.int64)
+    for a in range(0, q, 2):
+        shifts = np.arange(a, min(a + 2, q))[:, None, None]
+        for A in _matpow((S + shifts * eye) % q, (q - 1) // 2, q):
+            if A[0, 0] in (0, 1, q - 1) and np.array_equal(A, A[0, 0] * eye):
+                continue
+            A2 = _mulmod(A, A, q)
+            if not np.array_equal(_mulmod(A2, A, q), A):
+                raise CharacterError("A^3 != A: the class matrix does not split over F_%d" % q)
+            return A, A2
+    raise CharacterError("eigenspace splitting stalled (implementation bug)")
+
+
+def _split_local(R, q):
+    """Eigenspaces of the d x d matrix R over F_q, as rref row bases in R's
+    own coordinates (row vectors c, acted on by c -> c R).
+
+    A space on which the restriction S is not scalar is split by the images
+    of the projectors of _split_step's A.  A child with rref basis Y in S's
+    coordinates has the restriction T = (Y S)[:, pivots(Y)], checked by
+    T Y = Y S, and its basis in R's coordinates is Y times its parent's, again
+    in rref.  The images' ranks are r - tr A^2 and (tr A^2 +- tr A) / 2 on a
+    space of dimension r.  Read off the traces mod q they are exact only
+    while r < q, and only then do they end an elimination early; from r = q
+    on each elimination scans to the last column.
+    """
+    d = len(R)
+    half = (q + 1) // 2
+    pieces = []
+    todo = [(R, np.eye(d, dtype=np.int64))]   # a restriction S, and its basis in R's coordinates
+    while todo:
+        S, Y = todo.pop()
+        r = len(S)
+        eye = np.eye(r, dtype=np.int64)
+        if r == 1 or np.array_equal(S, S[0, 0] * eye):
+            pieces.append(Y)
+            continue
+        A, A2 = _split_step(S, q)
+        t1, t2 = int(np.trace(A)), int(np.trace(A2))
+        ranks = [(r - t2) % q, (t2 + t1) * half % q, (t2 - t1) * half % q] if r < q else [None] * 3
+        # row images of the projectors, rows c with c A = 0, c, -c; the factor
+        # 1/2 leaves an image as it is and is dropped.  Two or more are not
+        # zero, since A is not scalar
+        for P, rank in zip((eye - A2, A2 + A, A2 - A), ranks):
+            Z, pivots = _rref(P, q, rank)
+            if not len(Z):
+                continue
+            ZS = _mulmod(Z, S, q)
+            T = ZS[:, pivots]
+            if not np.array_equal(_mulmod(T, Z, q), ZS):
+                raise CharacterError("subspace not invariant (implementation bug)")
+            todo.append((T, _mulmod(Z, Y, q)))
+    return pieces
 
 
 def _split_spaces(mats, q):
     """Common eigenbasis of a commuting family of k x k matrices over F_q,
     reading the iterable mats only until every space is a line.
 
-    A space B on which M is not scalar is split by the quadratic character of
-    lambda + a: A = (R + aI)^((q-1)/2), R the restriction of M to B, is 0, 1 or
-    -1 on each eigenvector of R.  So A^3 = A when R splits over F_q, and the
-    images of the projectors I - A^2, (A^2 + A)/2 and (A^2 - A)/2 onto its 0,
-    1 and -1 eigenspaces split B for the first a = 0, 1, ... that leaves two
-    of them non-zero.  An A of 0, I or -I is passed over unsolved, and any
-    other A with A^3 != A is refused: R does not split.
+    A space B (rref rows) on which M is not scalar is split by the quadratic
+    character of lambda + a: A = (R + aI)^((q-1)/2), R the restriction of M
+    to B, is 0, 1 or -1 on each eigenvector of R.  So A^3 = A when R splits
+    over F_q, and the images of the projectors I - A^2, (A^2 + A)/2 and
+    (A^2 - A)/2 onto its 0, 1 and -1 eigenspaces split B for the first
+    a = 0, 1, ... that leaves two of them non-zero.  An A of 0, I or -I is
+    passed over unsolved, and any other A with A^3 != A is refused: R does
+    not split.
+
+    R is read and checked once per space and matrix, at width k; the whole
+    split of B under M then runs in R's d coordinates (_split_local), and
+    only its final pieces X return to width k, as X B.  That product is in
+    rref already: X is zero left of its pivots and B[:, pivots(B)] = I, so its
+    pivots are B's pivots at X's pivot columns.
     """
     spaces = None
     for M in mats:
         if spaces is None:
             spaces = [np.eye(len(M), dtype=np.int64)]
-        done, todo = [], spaces
-        while todo:
-            B = todo.pop()
-            d = len(B)
-            if d == 1:
+        done = []
+        for B in spaces:
+            if len(B) == 1:
                 done.append(B)
                 continue
             W = _mulmod(B, M.T, q)
             R = W[:, np.argmax(B != 0, axis=1)]  # coords in B's rows (B is in rref, M-invariant)
             if not np.array_equal(_mulmod(R, B, q), W):
                 raise CharacterError("subspace not invariant (implementation bug)")
-            eye = np.eye(d, dtype=np.int64)
-            if np.array_equal(R, R[0, 0] * eye):
-                done.append(B)
-                continue
-            for a in range(q):
-                A = _matpow((R + a * eye) % q, (q - 1) // 2, q)
-                if A[0, 0] in (0, 1, q - 1) and np.array_equal(A, A[0, 0] * eye):
-                    continue
-                A2 = _mulmod(A, A, q)
-                if not np.array_equal(_mulmod(A2, A, q), A):
-                    raise CharacterError("A^3 != A: the class matrix does not split over F_%d" % q)
-                # row images of the projectors, rows c with c A = 0, c, -c; the
-                # factor 1/2 leaves an image as it is and is dropped
-                parts = [_rref(_mulmod(P % q, B, q), q)[0] for P in (eye - A2, A2 + A, A2 - A)]
-                todo += [c for c in parts if len(c)]     # two or more: A is not scalar
-                break
-            else:
-                raise CharacterError("eigenspace splitting stalled (implementation bug)")
+            pieces = _split_local(R, q)
+            done += [B] if len(pieces) == 1 else [_mulmod(X, B, q) for X in pieces]
         spaces = done
         if all(len(B) == 1 for B in spaces):
             break

@@ -646,7 +646,9 @@ def conjugacy_classes(G):
         return G._conjugacy
     # conjugation by each generator, as a permutation of the elements
     conj = [G.vec_mul(None, int(G.inv[g])).take(G.mul_vec(g)) for g in G.generators()]
-    low = np.arange(G.order, dtype=_INDEX_DTYPE)    # low[x]: a member of x's class, <= x
+    # low[x]: a member of x's class, <= x.  int32 (|G| <= MAX_ORDER < 2^31)
+    # halves the traffic of the gathers; class_of below is int64 again
+    low = np.arange(G.order, dtype=np.int32)
     while True:
         last = low
         for perm in conj:

@@ -140,29 +140,37 @@ def test_mulmod_matches_exact_integer_product(q, k):
         assert got.dtype == np.int64 and np.array_equal(got, want.astype(np.int64))
 
 
+def _invertible(rng, p, d):
+    """A random invertible d x d matrix over F_p and its inverse."""
+    S = rng.integers(0, p, (d, d))
+    while len(characters._rref(S, p)[1]) < d:
+        S = rng.integers(0, p, (d, d))
+    return S, characters._rref(np.hstack([S, np.eye(d, dtype=np.int64)]), p)[0][:, d:]
+
+
 @pytest.mark.parametrize("q, shape, rank, zero_col", [
     (421, (12, 9), 4, 2), (421, (5, 12), 3, 0), (421, (9, 9), 9, None),
-    (7, (10, 10), 6, 9), (3_194_017, (8, 8), 5, 4), (421, (6, 7), 0, None)])
+    (7, (10, 10), 6, 9), (3_194_017, (8, 8), 5, 4), (421, (6, 7), 0, None),
+    (134_217_757, (24, 30), 20, 5)])
 def test_rref_and_nullspace_of_rank_deficient_matrices(q, shape, rank, zero_col):
-    # A = X Y over F_q has rank <= rank; a zero column of Y is a free column
+    # A = X Y over F_q has rank <= rank; a zero column of Y is a free column.
+    # Above 2^27 each lazy update moves an entry by up to (q - 1)^2 >= 2^54, and
+    # 20 of them must not drift out of int64
     rng = np.random.default_rng(rank * 1000 + shape[0])
     Y = rng.integers(0, q, (rank, shape[1]))
     if zero_col is not None:
         Y[:, zero_col] = 0
     A = rng.integers(0, q, (shape[0], rank)) @ Y % q
-    R, pivots = characters._rref(A, q)
     want, want_pivots = oracles.rref_mod_q(A, q)
-    assert pivots == want_pivots and R.tolist() == want
+    for R, pivots in [characters._rref(A, q), characters._rref(A, q, len(want_pivots))]:
+        assert pivots == want_pivots and R.tolist() == want
     assert pivots == sorted(set(pivots)) and np.array_equal(R[:, pivots], np.eye(len(pivots)))
     assert all(not R[i, :c].any() for i, c in enumerate(pivots))
     # the split by projector images: M = S^-1 D S over F_421, D with distinct
     # eigenvalues, has S's rows as left eigenvectors, the column eigenvectors
     # of M^T, each found scaled to a leading 1
     p, d = 421, 5
-    S = rng.integers(0, p, (d, d))
-    while len(characters._rref(S, p)[1]) < d:
-        S = rng.integers(0, p, (d, d))
-    S_inv = characters._rref(np.hstack([S, np.eye(d, dtype=np.int64)]), p)[0][:, d:]
+    S, S_inv = _invertible(rng, p, d)
     M = S_inv @ np.diag(rng.choice(p, d, replace=False)) % p @ S % p
     lead = S[np.arange(d), np.argmax(S != 0, axis=1)]
     want = S * np.array([pow(int(x), p - 2, p) for x in lead])[:, None] % p
@@ -171,6 +179,49 @@ def test_rref_and_nullspace_of_rank_deficient_matrices(q, shape, rank, zero_col)
     # a Jordan block has A^3 != A at a = 0: A = [[1, 210], [0, 1]]
     with pytest.raises(CharacterError, match="does not split"):
         characters._split_spaces([np.array([[1, 1], [0, 1]])], p)
+
+
+@pytest.mark.parametrize("p, mults", [(421, (3, 2, 1, 1)), (7, (7, 1)), (7, (3, 3, 1, 1))])
+def test_local_split_of_repeated_eigenvalues(p, mults):
+    # M = S^-1 D S over F_p acts on rows by c -> c M, and the rows of S with
+    # one eigenvalue span its eigenspace: each piece must be that span's rref.
+    # With d >= p the images' ranks are not read off the traces mod p: at
+    # (7, 1) a trace-derived rank of 7 reads 0, and that eigenspace would be lost
+    rng = np.random.default_rng(sum(mults) * p)
+    d = sum(mults)
+    S, S_inv = _invertible(rng, p, d)
+    which = np.repeat(np.arange(len(mults)), mults)
+    values = rng.choice(p, len(mults), replace=False)
+    M = S_inv @ np.diag(values[which]) % p @ S % p
+    want = sorted(oracles.rref_mod_q(S[which == i], p)[0] for i in range(len(mults)))
+    got = characters._split_local(M, p)
+    assert sorted(len(Y) for Y in got) == sorted(mults)
+    assert sorted(Y.tolist() for Y in got) == want
+
+
+@pytest.mark.parametrize("desc", ["product:sl2:5,product:sl2:5,cyclic:2", "sl2:37"])
+def test_split_lines_are_eigenvectors_of_every_class_matrix(desc, monkeypatch):
+    # the split reads only some class matrices; each of its k distinct lines
+    # must be a column eigenvector of all k.  Every space is split in its own
+    # coordinates, so each elimination is of a square d x d matrix, never d x k
+    G = build_group(desc)
+    C = conjugacy_classes(G)
+    q = characters._dixon_prime(group_exponent(G, C), G.order)
+    shapes, lines = [], []      # of every matrix _rref eliminates; the lines split off
+    rref, split = characters._rref, characters._split_spaces
+    monkeypatch.setattr(characters, "_rref", lambda A, *a: shapes.append(A.shape) or rref(A, *a))
+    monkeypatch.setattr(characters, "_split_spaces",
+                        lambda mats, q: lines.extend(split(mats, q)) or lines)
+    character_degrees(G)
+    V = np.array(lines)
+    assert V.shape == (C.k, C.k) and len({v.tobytes() for v in V}) == C.k
+    lead = np.argmax(V != 0, axis=1)
+    assert np.all(V[np.arange(C.k), lead] == 1)
+    for M in characters.class_matrices(G, C, range(C.k)):
+        MV = (M % q) @ V.T % q                         # column j: M v_j
+        eigenvalues = MV[lead, np.arange(C.k)]
+        assert np.array_equal(MV, eigenvalues * V.T % q)
+    assert shapes and all(rows == cols for rows, cols in shapes)
 
 
 def test_is_prime_matches_a_sieve():
@@ -222,20 +273,30 @@ def test_degrees_refuse_prime_that_overflows_int64(monkeypatch):
         character_degrees(build_group("symmetric:3"))
 
 
+def _class_count_reaches_dixon_prime(G):
+    return conjugacy_classes(G).k >= characters._dixon_prime(group_exponent(G), G.order)
+
+
 def test_abelian_degrees_all_one():
-    for desc in ["cyclic:8", "product:cyclic:2,cyclic:9"]:
+    # (C2)^3, (C2)^6 and C7 x C7 have k = |G| classes, at least their Dixon
+    # primes 7, 19 and 29: some spaces have dimension >= q
+    c2 = "product:cyclic:2,"
+    reaching = [c2 * 2 + "cyclic:2", c2 * 5 + "cyclic:2", "product:cyclic:7,cyclic:7"]
+    for desc in ["cyclic:8", "product:cyclic:2,cyclic:9"] + reaching:
         G = build_group(desc)
-        assert set(character_degrees(G).degrees) == {1}
+        assert character_degrees(G).degrees == (1,) * G.order
         assert quasirandom_degree(G) == 1
+        assert _class_count_reaches_dixon_prime(G) == (desc in reaching)
 
 
 def test_product_degrees_are_pairwise_products():
-    A = build_group("symmetric:3")
-    B = build_group("dihedral:4")
-    P = build_group("product:symmetric:3,dihedral:4")
-    expect = sorted(da * db for da in character_degrees(A).degrees
-                    for db in character_degrees(B).degrees)
-    assert sorted(character_degrees(P).degrees) == expect
+    # dihedral:2 x dihedral:2 has k = 16 classes, at least its Dixon prime 11
+    for a, b in [("symmetric:3", "dihedral:4"), ("dihedral:2", "dihedral:2")]:
+        P = build_group("product:%s,%s" % (a, b))
+        expect = sorted(da * db for da in character_degrees(build_group(a)).degrees
+                        for db in character_degrees(build_group(b)).degrees)
+        assert sorted(character_degrees(P).degrees) == expect
+        assert _class_count_reaches_dixon_prime(P) == (a == "dihedral:2")
 
 
 def test_quasirandom_degree_values():

@@ -328,6 +328,8 @@ def test_class_equation_and_ordering():
         # the first index of each class in class_of is its least member
         assert np.unique(C.class_of, return_index=True)[1].tolist() == C.representatives
         assert C.class_of[G.identity] == 0 and C.class_sizes[0] == 1
+        # the classes are found on int32 labels; class_of is int64 and read-only
+        assert C.class_of.dtype == np.int64 and not C.class_of.flags.writeable
 
 
 def test_abelian_groups_have_singleton_classes():
@@ -340,7 +342,8 @@ def test_abelian_groups_have_singleton_classes():
                                   "dihedral:10", "symmetric:1", "symmetric:6", "sl2:3", "sl2:11",
                                   "psl2:3", "psl2:11", "product:sl2:5,symmetric:4",
                                   "product:dihedral:4,product:cyclic:3,psl2:5",
-                                  "product:sl2:5,product:sl2:5,cyclic:2"])
+                                  "product:sl2:5,product:sl2:5,cyclic:2",
+                                  "sl2:101"])   # the largest order, 1,030,200
 def test_class_count_closed_forms_match_conjugacy_classes(desc):
     assert class_count(desc) == conjugacy_classes(build_group(desc)).k
 
