@@ -14,18 +14,20 @@ are split without polynomials: on a space where a class matrix R is not
 scalar, A = (R + aI)^((q-1)/2) takes the quadratic character of lambda + a
 on each eigenvector, so A^3 = A, and the images of its projectors
 I - A^2, (A^2 + A)/2 and (A^2 - A)/2 split the space for the first
-a = 0, 1, ... that separates two eigenvalues.  R is read once per space
-and class matrix at width k; the whole split of that space then runs in
-R's own d coordinates, on d x d matrices, and only the final pieces return
-to width k.  While d < q the projectors' ranks are read off the traces of A
-and A^2 and end each elimination early.  Each common eigenvector is
-proportional to a character's central idempotent, so the central character
-w is read off the vector itself.
+a = 0, 1, ... that separates two eigenvalues; each piece split off resumes
+that search at a + 1, since every shift up to a is scalar on it.  R is read
+once per space and class matrix at width k; the whole split of that space
+then runs in R's own d coordinates, on d x d matrices, and only the final
+pieces return to width k.  While d < q the projectors' ranks are read off
+the traces of A and A^2 and end each elimination early.  Each common
+eigenvector is proportional to a character's central idempotent, so the
+central character w is read off the vector itself.
 
-Products over F_q run as float64 matrix products (BLAS) and are exact: with
-residues below q and inner size k, every partial sum is an integer of at
-most k (q - 1)^2, and when that is below 2^53 the float64 sums are exact in
-any order.  Above it they run as int64 products, without BLAS.  So the
+Products over F_q are exact: with residues below q and inner size k, every
+partial sum is an integer of at most k (q - 1)^2.  Small products (k at most
+INT64_INNER_MAX) run in int64, without BLAS, where that is the faster.  Larger
+ones run as float64 matrix products (BLAS) while k (q - 1)^2 < 2^53, where the
+float64 sums are exact in any order, and as int64 products above it.  So the
 degrees do not depend on the BLAS build or its thread count.  Elimination
 reduces mod q lazily, and the same bound k (q - 1)^2 < 2^63 keeps its int64
 entries exact.
@@ -72,15 +74,16 @@ def class_matrices(G, C, classes):
     class sum i on class-sum coordinates, as exact integers.  |C_l| a[i, j, l]
     counts the pairs (x, y) in C_i x C_j with xy in C_l, which is
     |C_i| #{y in C_j : x_i y in C_l} for the representative x_i: one row of
-    the group each.  An int16 copy of the class table and the int32 codes
-    k class_of(y) are built once per call (k <= MAX_CLASSES) and dropped with
-    the generator."""
+    the group each, read into one buffer.  An int16 copy of the class table,
+    the int32 codes k class_of(y) and that row buffer are built once per call
+    (k <= MAX_CLASSES) and dropped with the generator."""
     k = check_class_count(C.k)
     narrow = C.class_of.astype(np.int16)
     codes = narrow.astype(np.int32) * k
     sizes = np.asarray(C.class_sizes)[:, None]
+    row = np.empty(G.order, dtype=np.intp)
     for i in classes:
-        row = G.mul_vec(C.representatives[i])
+        G.mul_vec(C.representatives[i], out=row)
         counts = np.bincount(codes + narrow.take(row), minlength=k * k).reshape(k, k)
         num = C.class_sizes[i] * counts.T                 # [l, j]
         if np.any(num % sizes):
@@ -128,15 +131,25 @@ def _dixon_prime(exponent, order):
 # a sum of k products of residues in int64.
 
 
+# largest inner size whose product runs in int64, skipping the float64 round
+# trip.  On a 2-core Xeon (numpy 2.4, OpenBLAS at one thread), d x d residue
+# matrices and stacks of two took 1.8-9.4 us in int64 and 3.3-10.9 us through
+# float64 for d = 1 ... 12; at 14 the two were even, and from 16 up BLAS won
+INT64_INNER_MAX = 12
+
+
 def _mulmod(A, B, q):
     """A @ B % q, exact, for residue matrices with k (q - 1)^2 < 2^63 (k the
     inner size).
 
-    When k (q - 1)^2 < 2^53 every partial sum is an integer below 2^53, so one
-    float64 product is exact whatever the summation order or the BLAS thread
-    count.  Otherwise the int64 product, which numpy runs without BLAS.
+    The int64 product is exact under that bound, and numpy runs it without
+    BLAS; it is taken for k <= INT64_INNER_MAX, where it is the faster.  For
+    larger k, while k (q - 1)^2 < 2^53, every partial sum is an integer below
+    2^53, so one float64 product is exact whatever the summation order or
+    the BLAS thread count.  Above that the int64 product again.
     """
-    if A.shape[-1] * (q - 1) ** 2 < 2**53:
+    k = A.shape[-1]
+    if k > INT64_INNER_MAX and k * (q - 1) ** 2 < 2**53:
         return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % q
     return A @ B % q
 
@@ -174,7 +187,7 @@ def _rref(A, q, rank=None):
             col[[r, lead]] = col[[lead, r]]
         row = A[r, c:] % q * pow(int(col[r]), q - 2, q) % q
         col[r] = 0
-        A[:, c:] -= np.outer(col, row)
+        A[:, c:] -= col[:, None] * row
         A[r, c:] = row
         pivots.append(c)
         c += 1
@@ -196,19 +209,20 @@ def _matpow(A, e, q):
         A = _mulmod(A, A, q)
 
 
-def _split_step(S, q):
-    """A = (S + aI)^((q-1)/2) and A^2 for the first a = 0, 1, ... at which A
-    is not 0, I or -I, two shifts to one stacked _matpow; refused when A^3 != A."""
+def _split_step(S, q, start):
+    """A = (S + aI)^((q-1)/2), A^2 and a for the first a = start, start + 1,
+    ... at which A is not 0, I or -I, two shifts to one stacked _matpow;
+    refused when A^3 != A."""
     eye = np.eye(len(S), dtype=np.int64)
-    for a in range(0, q, 2):
-        shifts = np.arange(a, min(a + 2, q))[:, None, None]
-        for A in _matpow((S + shifts * eye) % q, (q - 1) // 2, q):
+    for a0 in range(start, q, 2):
+        shifts = np.arange(a0, min(a0 + 2, q))[:, None, None]
+        for a, A in zip(range(a0, q), _matpow((S + shifts * eye) % q, (q - 1) // 2, q)):
             if A[0, 0] in (0, 1, q - 1) and np.array_equal(A, A[0, 0] * eye):
                 continue
             A2 = _mulmod(A, A, q)
             if not np.array_equal(_mulmod(A2, A, q), A):
                 raise CharacterError("A^3 != A: the class matrix does not split over F_%d" % q)
-            return A, A2
+            return A, A2, a
     raise CharacterError("eigenspace splitting stalled (implementation bug)")
 
 
@@ -220,7 +234,10 @@ def _split_local(R, q):
     of the projectors of _split_step's A.  A child with rref basis Y in S's
     coordinates has the restriction T = (Y S)[:, pivots(Y)], checked by
     T Y = Y S, and its basis in R's coordinates is Y times its parent's, again
-    in rref.  The images' ranks are r - tr A^2 and (tr A^2 +- tr A) / 2 on a
+    in rref.  A child resumes the shift search at its parent's shift a plus
+    one: every earlier shift gave 0, I or -I on the parent, and a itself a
+    scalar on each image, so each is scalar on the child too and could not
+    split it.  The images' ranks are r - tr A^2 and (tr A^2 +- tr A) / 2 on a
     space of dimension r.  Read off the traces mod q they are exact only
     while r < q, and only then do they end an elimination early; from r = q
     on each elimination scans to the last column.
@@ -228,15 +245,16 @@ def _split_local(R, q):
     d = len(R)
     half = (q + 1) // 2
     pieces = []
-    todo = [(R, np.eye(d, dtype=np.int64))]   # a restriction S, and its basis in R's coordinates
+    # a restriction S, its basis in R's coordinates, and the first shift to try
+    todo = [(R, np.eye(d, dtype=np.int64), 0)]
     while todo:
-        S, Y = todo.pop()
+        S, Y, start = todo.pop()
         r = len(S)
         eye = np.eye(r, dtype=np.int64)
         if r == 1 or np.array_equal(S, S[0, 0] * eye):
             pieces.append(Y)
             continue
-        A, A2 = _split_step(S, q)
+        A, A2, a = _split_step(S, q, start)
         t1, t2 = int(np.trace(A)), int(np.trace(A2))
         ranks = [(r - t2) % q, (t2 + t1) * half % q, (t2 - t1) * half % q] if r < q else [None] * 3
         # row images of the projectors, rows c with c A = 0, c, -c; the factor
@@ -250,7 +268,7 @@ def _split_local(R, q):
             T = ZS[:, pivots]
             if not np.array_equal(_mulmod(T, Z, q), ZS):
                 raise CharacterError("subspace not invariant (implementation bug)")
-            todo.append((T, _mulmod(Z, Y, q)))
+            todo.append((T, _mulmod(Z, Y, q), a + 1))
     return pieces
 
 

@@ -235,6 +235,13 @@ class _Mat2(_Backend):
     nonzero entry is at most h (p - 1 in SL, (p - 1) / 2 in PSL).  So a matrix,
     negated if that entry exceeds h, has index p * rank(a, b) + (c if a else d),
     two lookups in p^2-entry tables on the pair codes of its rows or columns.
+
+    The pair codes of every element are written block by block in index
+    order, from aranges and one p^2 table: a = 0 in (b, d) order, where
+    c = -1/b, then a != 0 in (a, b, c) order, where d = (1 + bc)/a is the
+    table (1 + bc) mod p times 1/a.  inv_all reads the inverse's row codes
+    off the column codes through two more p^2 tables, with no arithmetic on
+    the entries.
     """
 
     def __init__(self, p, projective):
@@ -242,16 +249,26 @@ class _Mat2(_Backend):
         self.projective = projective
         h = (p - 1) // 2 if projective else p - 1
         inv_t = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=_INDEX_DTYPE)
-        ar = np.arange(p, dtype=_INDEX_DTYPE)
-        # in index order: a == 0 (bc = -1, d free), then a != 0 (det = 1 fixes d)
-        b0, d0 = (x.ravel() for x in np.meshgrid(ar[1:h + 1], ar, indexing="ij"))
-        a1, b1, c1 = (x.ravel() for x in np.meshgrid(ar[1:h + 1], ar, ar, indexing="ij"))
-        a, b = np.concatenate([0 * b0, a1]), np.concatenate([b0, b1])
-        c = np.concatenate([-inv_t[b0] % p, c1])
-        d = np.concatenate([d0, (1 + b1 * c1) % p * inv_t[a1] % p])
-        self.n = len(a)
-        self._rows = (a * p + b, c * p + d)
-        self._cols = (a * p + c, b * p + d)
+        ar, lead = np.arange(p, dtype=_INDEX_DTYPE), np.arange(1, h + 1, dtype=_INDEX_DTYPE)
+        n0 = h * p
+        self.n = n0 + h * p * p
+        ab, cd, ac, bd = np.empty((4, self.n), dtype=_INDEX_DTYPE)
+        self._rows, self._cols = (ab, cd), (ac, bd)
+        # a == 0, in (b, d) order: bc = -1 fixes c = -1/b
+        c0 = -inv_t[lead] % p
+        ab[:n0] = np.repeat(lead, p)
+        ac[:n0] = np.repeat(c0, p)
+        np.add((c0 * p)[:, None], ar, out=cd[:n0].reshape(h, p))
+        np.add((lead * p)[:, None], ar, out=bd[:n0].reshape(h, p))
+        # a != 0, in (a, b, c) order: det = 1 fixes d = (1 + bc) / a.  d goes
+        # into bd first; cd is d + c p, and then b p is added to bd
+        ab[n0:].reshape(h, p, p)[...] = ((lead * p)[:, None] + ar)[:, :, None]
+        np.add((lead * p)[:, None, None], ar, out=ac[n0:].reshape(h, p, p))
+        d = bd[n0:].reshape(h, p, p)
+        np.multiply((1 + ar[:, None] * ar) % p, inv_t[lead, None, None], out=d)
+        d %= p
+        np.add(d, ar * p, out=cd[n0:].reshape(h, p, p))
+        d += (ar * p)[:, None]
         # tables over the pair codes u * p + v; neg: the pair as a first row
         # needs the matrix negated; _Z picks the second pair's table section
         u, v = self._uv = np.divmod(np.arange(p * p, dtype=_INDEX_DTYPE), p)
@@ -300,8 +317,15 @@ class _Mat2(_Backend):
                            (c * x + d * z) % p, (c * y + d * w) % p)
 
     def inv_all(self):
-        a, b, c, d = self._entries(np.arange(self.n))
-        return self._index(d, -b % self.p, -c % self.p, a)
+        """[[a, b], [c, d]]^-1 = [[d, -b], [-c, a]]: its row codes are tables
+        of the column codes b p + d and a p + c, read into _index's tables."""
+        p, (u, v) = self.p, self._uv
+        first = (v * p + -u % p).take(self._cols[1])
+        second = ((-v % p) * p + u).take(self._cols[0])
+        second += self._Z.take(first)
+        out = self._RB.ravel().take(second)
+        out += self._RA.take(first)
+        return out
 
     def generators(self):
         return sorted({int(self._index(1, 1, 0, 1)), int(self._index(1, 0, 1, 1))})
@@ -647,13 +671,15 @@ def conjugacy_classes(G):
     # conjugation by each generator, as a permutation of the elements
     conj = [G.vec_mul(None, int(G.inv[g])).take(G.mul_vec(g)) for g in G.generators()]
     # low[x]: a member of x's class, <= x.  int32 (|G| <= MAX_ORDER < 2^31)
-    # halves the traffic of the gathers; class_of below is int64 again
+    # halves the traffic of the gathers; class_of below is int64 again.  Each
+    # round gathers into spare, and the pointer jump low[low] swaps the two
     low = np.arange(G.order, dtype=np.int32)
+    spare, last = np.empty_like(low), np.empty_like(low)
     while True:
-        last = low
+        np.copyto(last, low)
         for perm in conj:
-            low = np.minimum(low, low[perm])
-        low = low[low]
+            np.minimum(low, low.take(perm, out=spare, mode="clip"), out=low)
+        low, spare = low.take(low, out=spare, mode="clip"), low
         if np.array_equal(low, last):   # a fixed point: low[x] is the least of x's class
             break
     reps = np.flatnonzero(low == np.arange(G.order))  # each class's least member, ascending

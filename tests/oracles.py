@@ -21,6 +21,9 @@ from qrmix.groups import PASS_TOL
 from qrmix.recurrence import IDENTITY_TOL
 
 AXIOM_SAMPLE_TRIPLES = 100_000  # associativity triples verify_group_axioms samples
+# every p that sl2:p and psl2:p take, by trial division
+ODD_PRIMES_TO_101 = [p for p in range(3, 102, 2)
+                     if all(p % r for r in range(3, math.isqrt(p) + 1, 2))]
 
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")

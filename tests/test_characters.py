@@ -96,10 +96,9 @@ def test_degree_invariants_across_suite():
         assert list(deg) == sorted(deg)
 
 
-_ODD_PRIMES = [p for p in range(3, 102, 2) if all(p % r for r in range(3, math.isqrt(p) + 1, 2))]
 _FULL_RANGE = ([pytest.param("sl2:%d" % p, marks=pytest.mark.slow) if p > 61 else "sl2:%d" % p
-                for p in _ODD_PRIMES]
-               + ["psl2:%d" % p for p in _ODD_PRIMES]
+                for p in oracles.ODD_PRIMES_TO_101]
+               + ["psl2:%d" % p for p in oracles.ODD_PRIMES_TO_101]
                + ["symmetric:%d" % n for n in range(1, 9)])
 
 
@@ -127,14 +126,22 @@ def test_split_refuses_matrix_that_does_not_split():
             characters._split_spaces([M], q)
 
 
-@pytest.mark.parametrize("q, k", [(421, 162), (3_194_017, 101), (2**27 - 39, 101)])
+_CUT = characters.INT64_INNER_MAX
+
+
+@pytest.mark.parametrize("q, k", [(421, 162), (3_194_017, 101), (2**27 - 39, 101)]
+                         + [(q, k) for q in (421, 1_030_201) for k in (1, 2, _CUT, _CUT + 1)])
 def test_mulmod_matches_exact_integer_product(q, k):
     # (421, 162) is the k = 162 product's prime and class count, (3194017, 101)
-    # sl2:97's: both one float64 product.  The last has 2^53 <= k (q - 1)^2 < 2^63
-    # and takes the int64 product.  All-(q - 1) matrices give the largest sums
+    # sl2:97's: both one float64 product.  (2^27 - 39, 101) has
+    # 2^53 <= k (q - 1)^2 < 2^63 and takes the int64 product.  Inner sizes up to
+    # INT64_INNER_MAX take it too, and one more goes back to float64, at the
+    # product's prime and psl2:101's.  All-(q - 1) matrices give the largest
+    # sums; the stacked pair is _split_step's two shifts
     rng = np.random.default_rng(q)
     for A, B in [(rng.integers(0, q, (4, k)), rng.integers(0, q, (k, 5))),
-                 (np.full((3, k), q - 1), np.full((k, 2), q - 1))]:
+                 (np.full((3, k), q - 1), np.full((k, 2), q - 1)),
+                 (rng.integers(0, q, (2, 3, k)), rng.integers(0, q, (2, k, 3)))]:
         want = (A.astype(object) @ B.astype(object)) % q
         got = characters._mulmod(A, B, q)
         assert got.dtype == np.int64 and np.array_equal(got, want.astype(np.int64))
@@ -181,22 +188,51 @@ def test_rref_and_nullspace_of_rank_deficient_matrices(q, shape, rank, zero_col)
         characters._split_spaces([np.array([[1, 1], [0, 1]])], p)
 
 
-@pytest.mark.parametrize("p, mults", [(421, (3, 2, 1, 1)), (7, (7, 1)), (7, (3, 3, 1, 1))])
-def test_local_split_of_repeated_eigenvalues(p, mults):
-    # M = S^-1 D S over F_p acts on rows by c -> c M, and the rows of S with
-    # one eigenvalue span its eigenspace: each piece must be that span's rref.
-    # With d >= p the images' ranks are not read off the traces mod p: at
-    # (7, 1) a trace-derived rank of 7 reads 0, and that eigenspace would be lost
+_REPEATED = [(421, (3, 2, 1, 1)), (7, (7, 1)), (7, (3, 3, 1, 1))]
+
+
+def _repeated_eigenvalues(p, mults):
+    """M = S^-1 D S over F_p, D with eigenvalue multiplicities mults, and the
+    rref of each eigenspace of c -> c M (the span of S's rows with one
+    eigenvalue), sorted."""
     rng = np.random.default_rng(sum(mults) * p)
     d = sum(mults)
     S, S_inv = _invertible(rng, p, d)
     which = np.repeat(np.arange(len(mults)), mults)
     values = rng.choice(p, len(mults), replace=False)
     M = S_inv @ np.diag(values[which]) % p @ S % p
-    want = sorted(oracles.rref_mod_q(S[which == i], p)[0] for i in range(len(mults)))
+    return M, sorted(oracles.rref_mod_q(S[which == i], p)[0] for i in range(len(mults)))
+
+
+@pytest.mark.parametrize("p, mults", _REPEATED)
+def test_local_split_of_repeated_eigenvalues(p, mults):
+    # M acts on rows by c -> c M: each piece must be an eigenspace's rref.
+    # With d >= p the images' ranks are not read off the traces mod p: at
+    # (7, 1) a trace-derived rank of 7 reads 0, and that eigenspace would be lost
+    M, want = _repeated_eigenvalues(p, mults)
     got = characters._split_local(M, p)
     assert sorted(len(Y) for Y in got) == sorted(mults)
     assert sorted(Y.tolist() for Y in got) == want
+
+
+@pytest.mark.parametrize("desc, most", [("psl2:101", 70),
+                                        ("product:sl2:5,product:sl2:5,cyclic:2", 175)])
+def test_split_children_resume_the_shift_search(desc, most, monkeypatch):
+    # every shift up to the one that split a space is scalar on its pieces, so
+    # they resume the search after it.  Searching from a = 0 for every piece
+    # takes 102 stacked powers on psl2:101 and 235 on the k = 162 product
+    powers, matpow = [], characters._matpow
+    monkeypatch.setattr(characters, "_matpow", lambda *a: powers.append(a) or matpow(*a))
+    character_degrees(build_group(desc))
+    assert 0 < len(powers) <= most
+    # the pieces, and their order, are those of a search from a = 0
+    resumed = [characters._split_local(_repeated_eigenvalues(*case)[0], case[0])
+               for case in _REPEATED]
+    step = characters._split_step
+    monkeypatch.setattr(characters, "_split_step", lambda S, q, start: step(S, q, 0))
+    for (p, mults), got in zip(_REPEATED, resumed):
+        want = characters._split_local(_repeated_eigenvalues(p, mults)[0], p)
+        assert [Y.tolist() for Y in got] == [Y.tolist() for Y in want]
 
 
 @pytest.mark.parametrize("desc", ["product:sl2:5,product:sl2:5,cyclic:2", "sl2:37"])

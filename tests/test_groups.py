@@ -14,7 +14,8 @@ from qrmix import (
     conjugacy_classes,
     parse_descriptor,
 )
-from qrmix.groups import DENSE_LIMIT, _Cyclic, _Product, check_samples, class_count, plan
+from qrmix.groups import (DENSE_LIMIT, _Cyclic, _Mat2, _Product, check_samples,
+                          class_count, plan)
 
 import oracles
 from oracles import verify_group_axioms
@@ -132,6 +133,26 @@ def test_sl2_labels_in_lex_order(desc):
         assert np.all(first <= (p - 1) // 2)
     codes = ((M[:, 0] * p + M[:, 1]) * p + M[:, 2]) * p + M[:, 3]
     assert np.all(np.diff(codes) > 0)
+
+
+@pytest.mark.parametrize("p", oracles.ODD_PRIMES_TO_101)
+@pytest.mark.parametrize("projective", [False, True])
+def test_sl2_pair_codes_over_full_range(p, projective):
+    # every element's row and column pair codes, decoded whole: the canonical
+    # matrices of determinant 1, each once, in strictly increasing (a, b, c, d)
+    # order, the columns the same matrices, and every inverse an inverse
+    B = _Mat2(p, projective)
+    (a, b), (c, d) = (np.divmod(codes, p) for codes in B._rows)
+    assert np.all((a * d - b * c) % p == 1)
+    first = np.where(a > 0, a, b)
+    assert np.all((first > 0) & (first <= ((p - 1) // 2 if projective else p - 1)))
+    codes = ((a * p + b) * p + c) * p + d
+    assert np.all(np.diff(codes) > 0)
+    assert len(codes) == B.n == p * (p * p - 1) // (2 if projective else 1)
+    assert np.array_equal(B._cols[0], a * p + c) and np.array_equal(B._cols[1], b * p + d)
+    assert codes[B.identity] == p**3 + 1           # [[1, 0], [0, 1]]
+    x = np.arange(B.n)
+    assert np.all(B.mul_pairs(x, B.inv_all()) == B.identity)
 
 
 def test_dihedral_relations():
