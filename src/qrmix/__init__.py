@@ -1,6 +1,8 @@
 """Exact and Monte Carlo verification of mixing and triple-recurrence bounds
 on concrete finite quasirandom groups."""
 
+import importlib
+
 from .groups import (
     GroupTable,
     ConjugacyData,
@@ -52,8 +54,6 @@ from .recurrence import (
     vdc_check,
 )
 from .seeding import derive_seed
-from .sweep import ExperimentConfig, ConfigError, run_sweep, emit_plot_data
-from .verify import run_verify
 
 __all__ = [
     "GroupTable",
@@ -103,3 +103,21 @@ __all__ = [
     "emit_plot_data",
     "run_verify",
 ]
+
+# sweep and verify (and with them csv, json and hashlib) load on first use:
+# the checks above need neither
+_LAZY = {
+    "ExperimentConfig": "sweep",
+    "ConfigError": "sweep",
+    "run_sweep": "sweep",
+    "emit_plot_data": "sweep",
+    "run_verify": "verify",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -94,8 +94,10 @@ class ActionTable:
 
     Built-in kinds act on X = G: left g.x = gx, right g.x = x g^-1,
     conjugation g.x = g x g^-1.  Custom actions supply an explicit
-    (|G|, |X|) table of act(g, x) and are validated at build time.
-    Rows come from inv_rows, in blocks, on groups with or without a dense table.
+    (|G|, |X|) table of act(g, x) and are validated at build time.  An int64
+    table is kept as it is, not copied: the action reads the caller's array,
+    which must not change while the action is in use.  Rows come from
+    inv_rows, in blocks, on groups with or without a dense table.
     """
 
     def __init__(self, group, space, kind, rows=None):
@@ -110,7 +112,7 @@ class ActionTable:
             rows = np.asarray(rows)
             if rows.shape != (group.order, space.size):
                 raise ActionValidationError("rows must have shape (|G|, |X|)")
-            self._rows = rows.astype(np.int64)
+            self._rows = rows.astype(np.int64, copy=False)
             self._validate_custom()
 
     def _validate_custom(self):
@@ -248,6 +250,14 @@ def invariant_projection(a, f):
     (1/|G|) sum_g f(g^-1 . x) collapses, exactly, to the unweighted mean
     of f over the orbit of x: every orbit point is hit |G|/|orbit| times.
     """
+    means, orbit_of = orbit_means(a, f)
+    return Observable(f.space, means[orbit_of])
+
+
+def orbit_means(a, f):
+    """(means, orbit_of): the mean of f over each orbit of the action and the
+    orbit of each point, so that invariant_projection(a, f) is means[orbit_of].
+    The triple recurrence reads the projection in tiles from these two."""
     if f.space.size != a.space.size:
         raise SpaceMismatchError("observable not on the action's space")
     orbit_of = a.orbit_of()
@@ -255,7 +265,7 @@ def invariant_projection(a, f):
     sums = np.zeros(n_orbits, dtype=np.complex128)
     np.add.at(sums, orbit_of, f.values)
     counts = np.bincount(orbit_of, minlength=n_orbits)
-    return Observable(f.space, (sums / counts)[orbit_of])
+    return sums / counts, orbit_of
 
 
 def random_observable(space, seed, norm_mode="linf_unit"):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import SpaceMismatchError, cached_action, gather_blocks, invariant_projection
+from .actions import SpaceMismatchError, cached_action, gather_blocks, orbit_means
 from .characters import quasirandom_degree
-from .groups import DENSE_LIMIT, PASS_TOL, compose_rows, plan, row_chunks
+from .groups import DENSE_LIMIT, PASS_TOL, ROW_BLOCK, compose_rows, plan, row_chunks
 
 IDENTITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -130,6 +130,14 @@ def triple_product_average(G, f1, f2, f3, g):
     return complex(np.sum(f1.values * f2.values[lrow] * f3.values[crow] * w))
 
 
+def _column_tiles(n):
+    """slice(0, n) cut into the fewest tiles of at most ROW_BLOCK columns, of
+    near-equal length: one tile when n <= ROW_BLOCK."""
+    count = -(-n // ROW_BLOCK)
+    width = -(-n // count)
+    return [slice(s, min(s + width, n)) for s in range(0, n, width)]
+
+
 def _triple_errors(G, f1, f2, f3, gs, f3_inf):
     """Per-g total/case-i/case-ii deviations, averaged over gs (None: every g).
 
@@ -139,26 +147,59 @@ def _triple_errors(G, f1, f2, f3, gs, f3_inf):
     avg_y h(gy) f2(y) with h = f1 P_c f3.  Case ii, with f3 - P_c f3, is the
     total less case i.  The case bounds rest on ||P_c f3||_inf <= ||f3||_inf
     (f3_inf) and ||f3 - P_c f3||_2 <= ||f3||_2: a PreconditionError if either
-    fails.  P_l f2 and P_c f3 are dropped once the reference term and h are
-    formed, so beside its inputs a sampled call holds about six complex
-    |G|-long arrays at its peak.
+    fails.
+
+    The group is read in column tiles of at most ROW_BLOCK values
+    (_column_tiles): the reference term, the L2 guard and h are formed tile
+    by tile from the orbit means, and each g's two sums add up over its
+    tiles in order, from two complex tile buffers and one tile of u = f2 w
+    that every g reuses.  With |G| <= ROW_BLOCK there is one tile, and every
+    sum is the same expression over the whole group.  So beside its inputs a
+    sampled call holds h, the two intp translate rows and those three tiles:
+    about two complex |G|-long arrays and three tiles at its peak.
     """
-    pl2 = invariant_projection(cached_action(G, "left"), f2)
-    pc3 = invariant_projection(cached_action(G, "conjugation"), f3)
-    if pc3.norm_inf > f3_inf + NORM_TOL:
+    n = G.order
+    mean_l, orbit_l = orbit_means(cached_action(G, "left"), f2)
+    mean_c, orbit_c = orbit_means(cached_action(G, "conjugation"), f3)
+    if float(np.max(np.abs(mean_c))) > f3_inf + NORM_TOL:
         raise PreconditionError("projection increased the L-infinity norm")
-    if (f3 - pc3).norm2 > f3.norm2 + NORM_TOL:
+    w, w3, v1, v2, v3 = f1.space.weights, f3.space.weights, f1.values, f2.values, f3.values
+    cols = _column_tiles(n)
+    # the reference term avg f1 P_l f2 P_c f3, the squared L2 norms of
+    # f3 - P_c f3 and of f3, and h = f1 P_c f3, tile by tile
+    ref_tot, res2, norm2, h = 0, 0.0, 0.0, np.empty(n, dtype=np.complex128)
+    for c in cols:
+        pc3 = mean_c[orbit_c[c]]
+        ref_tot += complex(np.sum(v1[c] * mean_l[orbit_l[c]] * pc3 * w[c]))
+        res2 += float(np.sum(np.abs(v3[c] - pc3) ** 2 * w3[c]))
+        norm2 += float(np.sum(np.abs(v3[c]) ** 2 * w3[c]))
+        h[c] = v1[c] * pc3
+    if math.sqrt(res2) > math.sqrt(norm2) + NORM_TOL:
         raise PreconditionError("projection residual increased the L2 norm")
-    w = f1.space.weights
-    v1 = f1.values
-    ref_tot = complex(np.sum(v1 * pl2.values * pc3.values * w))
-    u, h = f2.values * w, v1 * pc3.values
-    del pl2, pc3        # the per-g loop, where the peak sits, reads neither
-    gs = np.arange(G.order) if gs is None else gs
-    blocks = zip(gather_blocks(G.translates(gs), v1, h),
-                 gather_blocks(G.translates(gs, right=True), f3.values))
-    tot, case_i = np.concatenate([(np.einsum("ij,ij,j->i", A1, A3, u), np.einsum("ij,j->i", Ah, u))
-                                  for (A1, Ah), (A3,) in blocks], axis=1)
+    del pc3             # the g loop, where the peak sits, does not read it
+    gs = np.arange(n) if gs is None else gs
+    # the tile buffers: the first tile is the widest, and the first block of
+    # rows the longest
+    tot, case_i, bufs, u_col = [], [], None, None
+    u_buf = np.empty(cols[0].stop, dtype=np.complex128)
+    for L, R in zip(G.translates(gs), G.translates(gs, right=True)):
+        if bufs is None:
+            bufs = np.empty((2, L[:, cols[0]].size), dtype=np.complex128)
+        block_tot = block_i = 0
+        for c in cols:
+            Lc = L[:, c]
+            A1, A3 = (b[:Lc.size].reshape(Lc.shape) for b in bufs)
+            if c is not u_col:      # with one tile, u is formed once
+                u, u_col = np.multiply(v2[c], w[c], out=u_buf[:Lc.shape[1]]), c
+            # mode="clip": the default "raise" copies out first; indices are in range
+            np.take(v1, Lc, out=A1, mode="clip")
+            np.take(v3, R[:, c], out=A3, mode="clip")
+            block_tot = block_tot + np.einsum("ij,ij,j->i", A1, A3, u)
+            np.take(h, Lc, out=A3, mode="clip")         # A3 now holds h(gy)
+            block_i = block_i + np.einsum("ij,j->i", A3, u)
+        tot.append(block_tot)
+        case_i.append(block_i)
+    tot, case_i = np.concatenate(tot), np.concatenate(case_i)
     m = len(gs)
     return (math.fsum(np.abs(tot - ref_tot)) / m, math.fsum(np.abs(case_i - ref_tot)) / m,
             math.fsum(np.abs(tot - case_i)) / m)

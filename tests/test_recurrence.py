@@ -158,18 +158,24 @@ def test_case_decomposition_norm_facts_enforced():
     assert case_ii <= math.sqrt(5 * eps) + 1e-9
 
 
+def _patch_conjugation_means(monkeypatch, factor):
+    """Make the recurrence read P_c f3 times factor: it reads the projections
+    as orbit means."""
+    import qrmix.recurrence as recurrence
+
+    means = recurrence.orbit_means
+
+    def scaled(a, f):
+        m, orbit_of = means(a, f)
+        return (m * factor if a.kind == "conjugation" else m), orbit_of
+
+    monkeypatch.setattr(recurrence, "orbit_means", scaled)
+
+
 def test_recurrence_refuses_a_projection_that_breaks_the_norm_facts(monkeypatch):
     """A conjugation projection that doubles its result breaks
     ||P_c f3||_inf <= ||f3||_inf, and triple_recurrence_error refuses it."""
-    import qrmix.recurrence as recurrence
-
-    project = recurrence.invariant_projection
-
-    def doubled(a, f):
-        p = project(a, f)
-        return p * 2.0 if a.kind == "conjugation" else p
-
-    monkeypatch.setattr(recurrence, "invariant_projection", doubled)
+    _patch_conjugation_means(monkeypatch, 2.0)
     G = build_group("sl2:5")
     space = ProbabilitySpace.uniform(G.order)
     f1, f2, _ = _triple(space, 76)
@@ -185,15 +191,7 @@ def test_recurrence_refuses_a_projection_residual_longer_than_f3(monkeypatch, f1
     ||f3||^2 - ||P_c f3||^2 would not.  The guard measures with f3's weights:
     f3 vanishes on the identity, so f1 on the point mass there would see a
     residual of norm 0."""
-    import qrmix.recurrence as recurrence
-
-    project = recurrence.invariant_projection
-
-    def negated(a, f):
-        p = project(a, f)
-        return p * -1.0 if a.kind == "conjugation" else p
-
-    monkeypatch.setattr(recurrence, "invariant_projection", negated)
+    _patch_conjugation_means(monkeypatch, -1.0)
     G = build_group("sl2:5")
     space = ProbabilitySpace.uniform(G.order)
     _, f2, _ = _triple(space, 76)
@@ -252,7 +250,7 @@ def test_sampled_recurrence_memory_budget():
     """A sampled recurrence on sl2:37 peaks at fewer than seven complex |G|
     arrays beyond its inputs and leaves no |G|-long array behind: uniform
     weights and one-orbit labels are broadcast scalars, conjugation shares
-    the class labels, and P_l f2 and P_c f3 are dropped before the g loop."""
+    the class labels, and P_l f2 and P_c f3 are read as orbit means."""
     G = build_group("sl2:37")
     n = G.order
     space = cached_action(G, "left").space
@@ -269,6 +267,54 @@ def test_sampled_recurrence_memory_budget():
     assert left_behind < n
     w = ProbabilitySpace.uniform(n).weights
     assert w.strides == (0,) and not w.flags.writeable
+
+
+def _tiled_inputs():
+    """sl2:41 (|G| = 68,880 > ROW_BLOCK, two column tiles), its cached actions,
+    classes and degree, and three observables on the unit disc."""
+    G = build_group("sl2:41")
+    assert G.order > ROW_BLOCK
+    space = cached_action(G, "left").space
+    cached_action(G, "conjugation")
+    quasirandom_degree(G)
+    return G, _triple(space, 90)
+
+
+def test_tiled_recurrence_matches_literal_recomputation():
+    """Above ROW_BLOCK each g's sums add up over column tiles: the report
+    equals the literal per-g recomputation on the report's sample of g."""
+    G, (f1, f2, f3) = _tiled_inputs()
+    rep = triple_recurrence_error(G, f1, f2, f3, mode="monte_carlo", samples=3, seed=7)
+    want = _literal_triple_errors(G, f1, f2, f3, np.random.default_rng(7).integers(0, G.order, 3))
+    got = (rep.measured_total, rep.measured_case_i, rep.measured_case_ii)
+    assert got == pytest.approx(tuple(want), rel=1e-12, abs=0)
+
+
+def test_tiled_recurrence_memory_budget():
+    """Above ROW_BLOCK a sampled recurrence holds, beside its inputs, h =
+    f1 P_c f3, the two intp translate rows and three column tiles: on sl2:41,
+    whose tiles are half the group, fewer than four complex |G| arrays."""
+    G, (f1, f2, f3) = _tiled_inputs()
+    n = G.order
+    tracemalloc.start()
+    try:
+        triple_recurrence_error(G, f1, f2, f3, mode="monte_carlo", samples=2, seed=3)
+        left_behind, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * n
+    assert left_behind < n
+
+
+@pytest.mark.parametrize("factor, match", [(2.0, "L-infinity"), (-1.0, "L2")])
+def test_tiled_recurrence_keeps_the_norm_guards(monkeypatch, factor, match):
+    """The guards read P_c f3 tile by tile and still refuse a projection
+    that doubles (L-infinity) or negates (L2) a class function f3."""
+    G, (f1, f2, _) = _tiled_inputs()
+    f3 = Observable(f1.space, np.exp(1j * conjugacy_classes(G).class_of))    # P_c f3 = f3
+    _patch_conjugation_means(monkeypatch, factor)
+    with pytest.raises(PreconditionError, match=match):
+        triple_recurrence_error(G, f1, f2, f3, mode="monte_carlo", samples=2, seed=3)
 
 
 @pytest.mark.parametrize("desc", ["sl2:5", "psl2:7"])

@@ -33,6 +33,31 @@ def test_star_import_resolves_every_export():
         assert namespace[name] is getattr(qrmix, name), name
 
 
+_LAZY_IMPORT_CHECK = """
+import sys
+import qrmix
+loaded = [m for m in ("qrmix.sweep", "qrmix.verify", "qrmix.cli", "hashlib") if m in sys.modules]
+if loaded:
+    sys.exit("import qrmix loaded %s" % loaded)
+unresolved = [name for name in qrmix.__all__ if getattr(qrmix, name, None) is None]
+if unresolved:
+    sys.exit("unresolved exports %s" % unresolved)
+"""
+
+
+def test_import_leaves_the_drivers_and_hashlib_unloaded():
+    """import qrmix, in a fresh process, loads the checks but not sweep,
+    verify, the cli or hashlib; sweep's and verify's exports load when first
+    read, and every name in __all__ resolves."""
+    import qrmix
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qrmix.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_CHECK], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_benchmark_battery_passes_its_oracles():
     """The benchmark's exact battery on sl2:5, vdc included, run through
     perfbench's worker and checked by its oracles: a change to what the
