@@ -268,17 +268,9 @@ def orbit_means(a, f):
     return sums / counts, orbit_of
 
 
-def random_observable(space, seed, norm_mode="linf_unit"):
+def random_observable(space, seed):
     """Seed-deterministic random observable; values uniform on the unit disc."""
-    if norm_mode not in ("linf_unit", "l2_unit"):
-        raise ValueError("norm_mode must be linf_unit or l2_unit")
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.uniform(0.0, 1.0, space.size))
     theta = rng.uniform(0.0, 2.0 * np.pi, space.size)
-    values = r * np.exp(1j * theta)
-    f = Observable(space, values)
-    if norm_mode == "l2_unit":
-        nrm = f.norm2
-        if nrm > 0:
-            f = Observable(space, values / nrm)
-    return f
+    return Observable(space, r * np.exp(1j * theta))

@@ -6,31 +6,9 @@ q = 1 (mod exponent(G)) with q > 2 sqrt(|G|), then each degree is lifted
 from the central-character orthogonality relation
 d^2 * sum_j w(C_j) w(C_j)* / |C_j| = |G| evaluated mod q.
 
-The class matrices are built lazily, one group row each, and only as many
-as the split reads before every eigenspace is a line.  They are read one
-class of each size first, then a second of each size, and so on, since
-classes of one size often separate the same characters.  The eigenspaces
-are split without polynomials: on a space where a class matrix R is not
-scalar, A = (R + aI)^((q-1)/2) takes the quadratic character of lambda + a
-on each eigenvector, so A^3 = A, and the images of its projectors
-I - A^2, (A^2 + A)/2 and (A^2 - A)/2 split the space for the first
-a = 0, 1, ... that separates two eigenvalues; each piece split off resumes
-that search at a + 1, since every shift up to a is scalar on it.  R is read
-once per space and class matrix at width k; the whole split of that space
-then runs in R's own d coordinates, on d x d matrices, and only the final
-pieces return to width k.  While d < q the projectors' ranks are read off
-the traces of A and A^2 and end each elimination early.  Each common
-eigenvector is proportional to a character's central idempotent, so the
-central character w is read off the vector itself.
-
-Products over F_q are exact: with residues below q and inner size k, every
-partial sum is an integer of at most k (q - 1)^2.  Small products (k at most
-INT64_INNER_MAX) run in int64, without BLAS, where that is the faster.  Larger
-ones run as float64 matrix products (BLAS) while k (q - 1)^2 < 2^53, where the
-float64 sums are exact in any order, and as int64 products above it.  So the
-degrees do not depend on the BLAS build or its thread count.  Elimination
-reduces mod q lazily, and the same bound k (q - 1)^2 < 2^63 keeps its int64
-entries exact.
+Every product and elimination over F_q is exact under the guard
+k (q - 1)^2 < 2^63, so the degrees do not depend on the BLAS build or its
+thread count.
 """
 
 from __future__ import annotations

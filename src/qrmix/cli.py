@@ -81,8 +81,7 @@ def cmd_plotdata(args):
 
 
 def cmd_verify(args):
-    return run_verify(args.out or ".", master_seed=args.seed or 0,
-                      profile=args.profile, inflate_d=args.inflate_d)
+    return run_verify(args.out or ".", master_seed=args.seed or 0, profile=args.profile)
 
 
 def build_parser():
@@ -125,8 +124,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory", default=".")
     p.add_argument("--profile", default="full", choices=sorted(PROFILES))
-    p.add_argument("--inflate-d", type=int, default=0,
-                   help="debug: add an offset to D in every bound")
     p.set_defaults(func=cmd_verify)
     return parser
 

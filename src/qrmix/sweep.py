@@ -181,9 +181,9 @@ def checked_class_count(desc, experiments):
     return k
 
 
-def mixing_checks(G, kind, trials, master, scale=1.0, **planned):
-    """mixing_bound_check's reports on one action as checks, bounds times scale."""
-    return [Check("mixing_bound", G.desc, kind, rep.trial, rep.bound * scale, rep.measured,
+def mixing_checks(G, kind, trials, master, **planned):
+    """mixing_bound_check's reports on one action as checks."""
+    return [Check("mixing_bound", G.desc, kind, rep.trial, rep.bound, rep.measured,
                   ci=rep.ci_halfwidth, report=rep, cells={"epsilon": 1.0 / math.sqrt(rep.D)})
             for rep in mixing_bound_check(G, kind, trials, master, **planned)]
 

@@ -98,14 +98,10 @@ def brute_force_class_constants(G):
     return a
 
 
-def degrees_by_eigen_multiplicity(G, seed=12345):
-    """Character degrees from eigenvalue multiplicities of a generic central
-    element acting on C[G] by right multiplication.
-
-    The regular representation splits into isotypic components of dimension
-    d^2 on which any central element acts as a scalar, so for generic class
-    weights the multiplicity of each eigenvalue is d^2.
-    """
+def _generic_central_element(G, seed=12345):
+    """The |G| x |G| matrix of right multiplication by the central element
+    z = sum_i t_i (sum of class i), for class weights t drawn from seed:
+    (M f)(x) = sum_g t(g) f(xg)."""
     n = G.order
     C = conjugacy_classes(G)
     rng = np.random.default_rng(seed)
@@ -114,18 +110,74 @@ def degrees_by_eigen_multiplicity(G, seed=12345):
     M = np.zeros((n, n), dtype=np.complex128)
     for g in range(n):
         M[xs, G.vec_mul(xs, g)] += t[C.class_of[g]]
-    eig = np.sort_complex(np.linalg.eigvals(M))
-    degrees = []
-    i = 0
-    while i < n:
+    return M
+
+
+def _equal_runs(eig):
+    """(start, stop) of each run of equal values in the sorted eigenvalues."""
+    runs, i = [], 0
+    while i < len(eig):
         j = i
-        while j < n and abs(eig[j] - eig[i]) < 1e-6:
+        while j < len(eig) and abs(eig[j] - eig[i]) < 1e-6:
             j += 1
+        runs.append((i, j))
+        i = j
+    return runs
+
+
+def degrees_by_eigen_multiplicity(G, seed=12345):
+    """Character degrees from eigenvalue multiplicities of a generic central
+    element acting on C[G] by right multiplication.
+
+    The regular representation splits into isotypic components of dimension
+    d^2 on which any central element acts as a scalar, so for generic class
+    weights the multiplicity of each eigenvalue is d^2.
+    """
+    eig = np.sort_complex(np.linalg.eigvals(_generic_central_element(G, seed)))
+    degrees = []
+    for i, j in _equal_runs(eig):
         d = math.isqrt(j - i)
         assert d * d == j - i, "multiplicity %d is not a perfect square" % (j - i)
         degrees.append(d)
-        i = j
     return tuple(sorted(degrees))
+
+
+WITNESS_DRAWS = range(100)      # the seeds isotypic_witness picks its draw from
+WITNESS_GROUPS = ["sl2:5", "psl2:5", "psl2:7", "sl2:7"]     # where the tests use it
+
+
+def isotypic_witness(G):
+    """(d, values): a near-extremal witness for the D^(-1/2) mixing bound,
+    with d the least character degree above 1.
+
+    The eigenspace of multiplicity d^2 of degrees_by_eigen_multiplicity's
+    central element is an isotypic component of degree d; the first one in
+    np.sort_complex order is orthonormalized.  Each seed in WITNESS_DRAWS
+    projects a complex Gaussian vector onto it, scaled to ||f||_inf = 1, and
+    the draw kept is the one whose smaller mixing ratio
+    avg_g |<f, g . f>| / (d^(-1/2) ||f||_2^2), under left and right
+    translation, is largest, both ratios recomputed here by brute force.
+    """
+    n = G.order
+    xs = np.arange(n, dtype=np.int64)
+    w, V = np.linalg.eig(_generic_central_element(G))
+    order = np.lexsort((w.imag, w.real))        # np.sort_complex's order
+    runs = [order[i:j] for i, j in _equal_runs(w[order])]
+    d = min(math.isqrt(len(r)) for r in runs if len(r) > 1)
+    Q = np.linalg.qr(V[:, next(r for r in runs if len(r) == d * d)])[0]
+    rows = [np.array([G.mul_vec(int(G.inv[g]), xs) for g in range(n)]),    # x -> g^-1 x
+            np.array([G.vec_mul(xs, g) for g in range(n)])]                 # x -> xg
+
+    def ratio(f):
+        bound = d ** -0.5 * float(np.mean(np.abs(f) ** 2))
+        return min(float(np.mean(np.abs(f[R] @ np.conj(f)))) / n / bound for R in rows)
+
+    draws = []
+    for s in WITNESS_DRAWS:
+        rng = np.random.default_rng(s)
+        f = Q @ (np.conj(Q.T) @ (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        draws.append(f / np.max(np.abs(f)))
+    return d, max(draws, key=ratio)
 
 
 def dihedral_degrees(n):

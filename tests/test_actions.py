@@ -383,5 +383,3 @@ def test_random_observable_norms(seed, n):
     space = ProbabilitySpace.uniform(n)
     f = random_observable(space, seed)
     assert f.norm_inf <= 1.0
-    g = random_observable(space, seed, norm_mode="l2_unit")
-    assert abs(g.norm2 - 1.0) <= 1e-12

@@ -9,11 +9,11 @@ import sys
 import pytest
 
 from qrmix import ExperimentConfig, ConfigError, build_group, character_degrees, emit_plot_data, run_sweep
-from qrmix import cli, mixing_bound_check, sweep
+from qrmix import cli, mixing_bound_check, sweep, verify
 from qrmix.characters import DegreeMultiset
 from qrmix.groups import plan
 from qrmix.cli import main
-from qrmix.sweep import RESULT_COLUMNS, write_results
+from qrmix.sweep import RESULT_COLUMNS, Check, write_results
 
 
 def run_cli(capsys, *argv):
@@ -305,7 +305,6 @@ def test_sweep_rejects_non_object_config(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("mixing", "-g", "cyclic:5", "--trials", "0"),
     ("recurrence", "-g", "cyclic:5", "--trials", "0"),
-    ("verify", "--profile", "quick", "--inflate-d", "-1"),
     ("verify", "--profile", "quick", "--seed", "-1"),
     ("mixing", "-g", "cyclic:5", "--seed", "-1"),
     ("mixing", "-g", "sl2:2305843009213693951", "--trials", "1"),
@@ -509,13 +508,19 @@ def test_verify_quick_passes_and_writes(tmp_path, capsys):
     assert (tmp_path / "verify_summary.json").exists()
 
 
-def test_verify_inflated_degree_fails(tmp_path, capsys):
+def test_verify_fails_exactly_the_failing_criterion(tmp_path, capsys, monkeypatch):
+    """One criterion with a failing check: verify exits 1, prints FAIL for
+    that criterion alone, and its summary records all_pass false."""
+    planted = [Check("planted_failure", "cyclic:5", passed=False)]
+    monkeypatch.setattr(verify, "CRITERIA", [
+        (num, name, (lambda **_: verify.Outcome(planted, planted)) if num == 3 else func)
+        for num, name, func in verify.CRITERIA])
     code, out, _ = run_cli(capsys, "verify", "--profile", "quick",
-                           "--out", str(tmp_path), "--seed", "8",
-                           "--inflate-d", "1")
+                           "--out", str(tmp_path), "--seed", "8")
     assert code == 1
-    assert "FAIL" in out
-    # D + 1 breaks only the equality witness of criterion 3; every other bound has slack
     lines = out.splitlines()
     assert [line.split()[0] for line in lines] == ["PASS"] * 2 + ["FAIL"] + ["PASS"] * 7
     assert lines[2].startswith("FAIL  criterion  3: ")
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert summary["all_pass"] is False
+    assert [num for num, c in summary["criteria"].items() if not c["pass"]] == ["3"]

@@ -20,7 +20,9 @@ from qrmix import (
     reduction_identity_check,
 )
 
-from oracles import trivial_action
+from qrmix.groups import PASS_TOL
+
+from oracles import WITNESS_GROUPS, isotypic_witness, trivial_action
 
 
 def _pair(space, seed):
@@ -99,6 +101,22 @@ def test_sl2_5_bound_all_actions():
 def test_cyclic_bound_passes_with_degree_one():
     reports = mixing_bound_check(build_group("cyclic:8"), "left", 10, 5)
     assert all(r.D == 1 and r.passed for r in reports)
+
+
+@pytest.mark.parametrize("desc", WITNESS_GROUPS)
+def test_isotypic_witness_nearly_attains_the_mixing_bound(desc):
+    """f1 = f2 in one isotypic component of degree D reaches at least 0.8 of
+    D^(-1/2) ||f1||_2 ||f2||_2 under left and right translation: a fault that
+    shrinks the measured error fails here, where random pairs keep slack."""
+    G = build_group(desc)
+    d, values = isotypic_witness(G)
+    D = quasirandom_degree(G)
+    assert d == D
+    f = Observable(ProbabilitySpace.uniform(G.order), values)
+    assert f.norm_inf == pytest.approx(1.0)
+    for kind in ("left", "right"):
+        ratio = mixing_error(cached_action(G, kind), f, f) / (D ** -0.5 * f.norm2 ** 2)
+        assert 0.8 <= ratio <= 1.0 + PASS_TOL, (kind, ratio)
 
 
 def test_reports_deterministic():

@@ -28,9 +28,10 @@ from qrmix import (
     vdc_check,
 )
 from qrmix import groups
-from qrmix.groups import ROW_BLOCK
+from qrmix.groups import PASS_TOL, ROW_BLOCK
+from qrmix.recurrence import IDENTITY_TOL
 
-from oracles import bessel_check
+from oracles import WITNESS_GROUPS, bessel_check, isotypic_witness
 
 
 def _real(space, seed):
@@ -342,6 +343,24 @@ def test_broadcast_uniform_weights_give_bitwise_equal_results(desc, monkeypatch)
     got, want = results(uniform), results(ProbabilitySpace(np.full(n, 1.0 / n)))
     assert want[-1].mode == "monte_carlo"
     assert got == want
+
+
+@pytest.mark.parametrize("desc", WITNESS_GROUPS)
+def test_isotypic_witness_nearly_attains_the_case_i_bound(desc):
+    """With f3 = 1 and f2 = conj f1 the triple average is <f1, g . f1>: the
+    total is the left mixing error of (f1, f1), case ii is 0, and on the
+    isotypic witness case i reaches at least 0.8 of eps ||f1||_2 ||f2||_2.
+    (f2 = f1 would give case i about 1e-16 on psl2:7, whose degree-3
+    characters are a complex pair.)"""
+    G = build_group(desc)
+    space = ProbabilitySpace.uniform(G.order)
+    _, values = isotypic_witness(G)
+    f1, f2 = Observable(space, values), Observable(space, np.conj(values))
+    rep = triple_recurrence_error(G, f1, f2, Observable(space, np.ones(G.order)))
+    assert abs(rep.measured_total - mixing_error(cached_action(G, "left"), f1, f1)) <= IDENTITY_TOL
+    assert rep.measured_case_ii <= IDENTITY_TOL
+    ratio = rep.measured_case_i / (rep.epsilon * f1.norm2 * f2.norm2)
+    assert 0.8 <= ratio <= 1.0 + PASS_TOL, ratio
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """The span tracer in perfbench/ wraps qrmix functions and methods by name;
 every name it lists must exist in the package, as must every name the
-package exports."""
+package exports.  The `verify` subcommand's options and run_verify's
+parameters match one to one."""
 
+import argparse
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -31,6 +34,19 @@ def test_star_import_resolves_every_export():
     exec("from qrmix import *", namespace)
     for name in qrmix.__all__:
         assert namespace[name] is getattr(qrmix, name), name
+
+
+def test_verify_options_are_run_verify_parameters():
+    """Every option of `qrmix verify` is a parameter of run_verify and every
+    parameter an option, so no option reaches one side only."""
+    from qrmix.cli import build_parser
+    from qrmix.verify import run_verify
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    renamed = {"seed": "master_seed", "out": "out_dir"}
+    options = [renamed.get(a.dest, a.dest) for a in sub.choices["verify"]._actions
+               if not isinstance(a, argparse._HelpAction)]
+    assert sorted(options) == sorted(inspect.signature(run_verify).parameters)
 
 
 _LAZY_IMPORT_CHECK = """
