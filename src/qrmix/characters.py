@@ -9,6 +9,11 @@ d^2 * sum_j w(C_j) w(C_j)* / |C_j| = |G| evaluated mod q.
 Every product and elimination over F_q is exact under the guard
 k (q - 1)^2 < 2^63, so the degrees do not depend on the BLAS build or its
 thread count.
+
+A direct product is not split: Irr(A x B) = {chi x psi}, so its degrees
+are the pairwise products of its factors' exact degrees, with multiplicity.
+Every result, a product's too, must have as many degrees as G has classes,
+squares summing to |G| and each degree dividing |G|.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _is_prime, conjugacy_classes
+from .groups import (GroupTable, _Product, _canonical, _is_prime, conjugacy_classes,
+                     parse_descriptor)
 
 PRIME_SEARCH_LIMIT = 2**31
 MAX_CLASSES = 512
@@ -292,16 +298,9 @@ def _split_spaces(mats, q):
     return [B[0] for B in spaces]
 
 
-def character_degrees(G):
-    """Exact multiset of irreducible character degrees of G."""
-    if G._degrees is not None:
-        return G._degrees
-    n = G.order
-    if n == 1:
-        G._degrees = DegreeMultiset(degrees=(1,), group_order=1)
-        return G._degrees
-    C = conjugacy_classes(G)
-    k = check_class_count(C.k)
+def _dixon_degrees(G, C):
+    """G's character degrees, unsorted, by Dixon's split of the classes C."""
+    n, k = G.order, C.k
     exponent = group_exponent(G, C)
     q = _dixon_prime(exponent, n)
     if k * (q - 1) ** 2 >= 2**63:
@@ -332,8 +331,34 @@ def character_degrees(G):
         if d is None:
             raise CharacterError("no degree lift in (0, sqrt|G|] (implementation bug)")
         degrees.append(d)
-    degrees.sort()
-    result = DegreeMultiset(degrees=tuple(degrees), group_order=n)
+    return degrees
+
+
+def character_degrees(G):
+    """Exact multiset of irreducible character degrees of G.
+
+    A product A x B (a _Product backend) takes the pairwise products of its
+    factors' degrees, exact since Irr(A x B) = {chi x psi}, each factor's
+    backend wrapped in a GroupTable for this call only; every other group, a
+    raw table included, runs Dixon's split.  Either result must have k
+    entries, k from G's own classes and at most MAX_CLASSES, squares summing
+    to |G| and every entry dividing |G|."""
+    if G._degrees is not None:
+        return G._degrees
+    n = G.order
+    if n == 1:
+        G._degrees = DegreeMultiset(degrees=(1,), group_order=1)
+        return G._degrees
+    C = conjugacy_classes(G)
+    k = check_class_count(C.k)
+    if isinstance(G.backend, _Product):
+        parts = zip((G.backend.A, G.backend.B), parse_descriptor(G.desc)[1:])
+        da, db = [character_degrees(GroupTable(part, _canonical(tree))).degrees
+                  for part, tree in parts]
+        degrees = [a * b for a in da for b in db]
+    else:
+        degrees = _dixon_degrees(G, C)
+    result = DegreeMultiset(degrees=tuple(sorted(degrees)), group_order=n)
     if sum(d * d for d in result.degrees) != n or len(result.degrees) != k:
         raise CharacterError("degree multiset fails sum-of-squares/count check")
     if any(n % d for d in result.degrees):

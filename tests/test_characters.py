@@ -13,7 +13,7 @@ from qrmix import (
     quasirandom_degree,
 )
 from qrmix import GroupTable, characters
-from qrmix.groups import ConjugacyData, _is_prime
+from qrmix.groups import ConjugacyData, _is_prime, parse_descriptor
 
 import oracles
 
@@ -31,15 +31,21 @@ def test_class_constants_match_brute_force(desc):
     assert np.array_equal(got, oracles.brute_force_class_constants(G))
 
 
+def _dixon_degrees(G):
+    """Dixon's split on G itself, a product too, of which character_degrees
+    splits only the factors."""
+    return characters._dixon_degrees(G, conjugacy_classes(G))
+
+
 def _rows_the_split_reads(G):
-    """Kernel rows character_degrees(G) builds past the conjugacy classes:
+    """Kernel rows Dixon's split of G builds past the conjugacy classes:
     one per class matrix."""
     conjugacy_classes(G)
     calls = []
     for name in ("mul_vec", "vec_mul"):
         method = getattr(G, name)
         setattr(G, name, lambda *a, method=method, **kw: calls.append(a) or method(*a, **kw))
-    character_degrees(G)
+    _dixon_degrees(G)
     return len(calls)
 
 
@@ -223,7 +229,7 @@ def test_split_children_resume_the_shift_search(desc, most, monkeypatch):
     # takes 102 stacked powers on psl2:101 and 235 on the k = 162 product
     powers, matpow = [], characters._matpow
     monkeypatch.setattr(characters, "_matpow", lambda *a: powers.append(a) or matpow(*a))
-    character_degrees(build_group(desc))
+    _dixon_degrees(build_group(desc))
     assert 0 < len(powers) <= most
     # the pieces, and their order, are those of a search from a = 0
     resumed = [characters._split_local(_repeated_eigenvalues(*case)[0], case[0])
@@ -248,7 +254,7 @@ def test_split_lines_are_eigenvectors_of_every_class_matrix(desc, monkeypatch):
     monkeypatch.setattr(characters, "_rref", lambda A, *a: shapes.append(A.shape) or rref(A, *a))
     monkeypatch.setattr(characters, "_split_spaces",
                         lambda mats, q: lines.extend(split(mats, q)) or lines)
-    character_degrees(G)
+    _dixon_degrees(G)
     V = np.array(lines)
     assert V.shape == (C.k, C.k) and len({v.tobytes() for v in V}) == C.k
     lead = np.argmax(V != 0, axis=1)
@@ -315,24 +321,52 @@ def _class_count_reaches_dixon_prime(G):
 
 def test_abelian_degrees_all_one():
     # (C2)^3, (C2)^6 and C7 x C7 have k = |G| classes, at least their Dixon
-    # primes 7, 19 and 29: some spaces have dimension >= q
+    # primes 7, 19 and 29: some spaces of their own splits have dimension >= q
     c2 = "product:cyclic:2,"
     reaching = [c2 * 2 + "cyclic:2", c2 * 5 + "cyclic:2", "product:cyclic:7,cyclic:7"]
     for desc in ["cyclic:8", "product:cyclic:2,cyclic:9"] + reaching:
         G = build_group(desc)
         assert character_degrees(G).degrees == (1,) * G.order
+        assert _dixon_degrees(G) == [1] * G.order
         assert quasirandom_degree(G) == 1
         assert _class_count_reaches_dixon_prime(G) == (desc in reaching)
 
 
 def test_product_degrees_are_pairwise_products():
+    # Dixon's split of the product itself against its factors' degrees;
     # dihedral:2 x dihedral:2 has k = 16 classes, at least its Dixon prime 11
     for a, b in [("symmetric:3", "dihedral:4"), ("dihedral:2", "dihedral:2")]:
         P = build_group("product:%s,%s" % (a, b))
         expect = sorted(da * db for da in character_degrees(build_group(a)).degrees
                         for db in character_degrees(build_group(b)).degrees)
-        assert sorted(character_degrees(P).degrees) == expect
+        assert sorted(_dixon_degrees(P)) == expect
+        assert list(character_degrees(P).degrees) == expect
         assert _class_count_reaches_dixon_prime(P) == (a == "dihedral:2")
+
+
+def _closed_form_degrees(tree):
+    """Sorted degrees from closed forms; perfbench's cover no dihedral group."""
+    if tree[0] == "product":
+        return sorted(a * b for a in _closed_form_degrees(tree[1])
+                      for b in _closed_form_degrees(tree[2]))
+    if tree[0] == "dihedral":
+        return list(oracles.dihedral_degrees(tree[1]))
+    return closed_forms.degrees(tree)
+
+
+def test_product_degrees_from_factors_match_dixon_and_closed_forms():
+    # character_degrees multiplies the factors' degrees; Dixon's split of the
+    # whole product and the closed forms must give the same multiset, and the
+    # class count is still checked on the product before its factors are read
+    for desc in ["product:sl2:5,product:sl2:5,cyclic:2",
+                 "product:cyclic:2,product:cyclic:2,cyclic:2", "product:cyclic:7,cyclic:7",
+                 "product:dihedral:2,dihedral:2", "product:cyclic:2,symmetric:3",
+                 "product:dihedral:4,product:cyclic:3,psl2:5", "product:sl2:5,symmetric:4"]:
+        P = build_group(desc)
+        got = list(character_degrees(P).degrees)
+        assert got == sorted(_dixon_degrees(P)) == _closed_form_degrees(parse_descriptor(desc))
+    with pytest.raises(CharacterError, match="^class count 529 exceeds 512$"):
+        character_degrees(build_group("product:cyclic:23,cyclic:23"))
 
 
 def test_quasirandom_degree_values():

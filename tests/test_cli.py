@@ -490,7 +490,8 @@ def test_sampled_outputs_independent_of_blas_threads(tmp_path, argv, name):
      "mixing.csv"),
     (("vdc", "-g", "sl2:11", "--trials", "2", "--mc", "100", "--seed", "1"), "vdc.csv"),
     (("degrees", "-g", "product:sl2:5,product:sl2:5,cyclic:2"), None),
-], ids=["mixing-sl2:13-conjugation", "vdc-sl2:11", "degrees-product-k162"])
+    (("degrees", "-g", "psl2:101"), None),
+], ids=["mixing-sl2:13-conjugation", "vdc-sl2:11", "degrees-product-k162", "degrees-psl2:101"])
 def test_exact_outputs_independent_of_blas_threads(tmp_path, argv, name):
     _assert_same_bytes_at_one_and_two_threads(tmp_path, argv, name)
 
