@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupTable, _Product, _canonical, _is_prime, conjugacy_classes,
-                     parse_descriptor)
+from .groups import _is_prime, conjugacy_classes, product_factors
 
 PRIME_SEARCH_LIMIT = 2**31
 MAX_CLASSES = 512
@@ -337,12 +336,12 @@ def _dixon_degrees(G, C):
 def character_degrees(G):
     """Exact multiset of irreducible character degrees of G.
 
-    A product A x B (a _Product backend) takes the pairwise products of its
-    factors' degrees, exact since Irr(A x B) = {chi x psi}, each factor's
-    backend wrapped in a GroupTable for this call only; every other group, a
-    raw table included, runs Dixon's split.  Either result must have k
-    entries, k from G's own classes and at most MAX_CLASSES, squares summing
-    to |G| and every entry dividing |G|."""
+    A product A x B takes the pairwise products of its factors' degrees,
+    exact since Irr(A x B) = {chi x psi}, its factors (groups.product_factors)
+    held for this call only; every other group, a raw table included, runs
+    Dixon's split.  Either result must have k entries, k from G's own classes
+    and at most MAX_CLASSES, squares summing to |G| and every entry dividing
+    |G|."""
     if G._degrees is not None:
         return G._degrees
     n = G.order
@@ -351,10 +350,9 @@ def character_degrees(G):
         return G._degrees
     C = conjugacy_classes(G)
     k = check_class_count(C.k)
-    if isinstance(G.backend, _Product):
-        parts = zip((G.backend.A, G.backend.B), parse_descriptor(G.desc)[1:])
-        da, db = [character_degrees(GroupTable(part, _canonical(tree))).degrees
-                  for part, tree in parts]
+    factors = product_factors(G)
+    if factors:
+        da, db = [character_degrees(F).degrees for F in factors]
         degrees = [a * b for a in da for b in db]
     else:
         degrees = _dixon_degrees(G, C)

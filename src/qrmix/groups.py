@@ -623,6 +623,15 @@ def build_group(desc):
     return GroupTable(_build_backend(tree), _canonical(tree))
 
 
+def product_factors(G):
+    """G's factors A, B if G = A x B, else None: new GroupTables on its backend's
+    own A and B, named by their canonical descriptors; nothing is cached on G."""
+    if not isinstance(G.backend, _Product):
+        return None
+    _, a, b = parse_descriptor(G.desc)
+    return GroupTable(G.backend.A, _canonical(a)), GroupTable(G.backend.B, _canonical(b))
+
+
 # ---------------------------------------------------------------------------
 # sampling plan
 

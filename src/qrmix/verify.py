@@ -2,13 +2,14 @@
 
 Each numbered criterion (character degrees, mixing bound, sharpness,
 triple recurrence, case decomposition, van der Corput, ergodic projection,
-reduction and Gram identities, estimator consistency) is a function of its
-inputs returning an Outcome of `Check` records, the same records the
-sweep's experiments yield (sweep.py), written through the same row writer.
+reduction and Gram identities, estimator consistency) takes built groups,
+as the sweep's experiments do (sweep.py), and returns an Outcome of the
+same `Check` records, written through the same row writer and named by
+G.desc.  groups.plan decides, from |G|, which recurrence groups sample g.
 The acceptance tests call these functions with their own inputs and
-tolerances; `run_verify` runs one profile, prints one line per criterion,
-and writes verify_results.csv / verify_summary.json.  Fully deterministic
-given (profile, master seed).
+tolerances; `run_verify` builds one profile's groups once each, prints one
+line per criterion, and writes verify_results.csv / verify_summary.json.
+Fully deterministic given (profile, master seed).
 
 Criterion 3 attains the mixing bound on cyclic groups.  The tests hold the
 witnesses on non-abelian groups (tests/oracles.py, `isotypic_witness`): on
@@ -35,7 +36,7 @@ from .actions import (
     random_observable,
 )
 from .characters import character_degrees, quasirandom_degree
-from .groups import PASS_TOL, build_group, conjugacy_classes, row_chunks
+from .groups import PASS_TOL, build_group, conjugacy_classes, plan, row_chunks
 from .mixing import (
     mixing_error,
     monte_carlo_mixing_error,
@@ -61,8 +62,7 @@ PROFILES = {
         1: {"groups": SUITE},
         2: {"groups": SUITE, "trials": 200},
         3: {"groups": ["cyclic:5", "cyclic:8", "cyclic:12"]},
-        4: {"exact": ["sl2:5", "sl2:7", "sl2:13"], "sampled": ["sl2:37"],
-            "trials": 20, "samples": 2000},
+        4: {"groups": ["sl2:5", "sl2:7", "sl2:13", "sl2:37"], "trials": 20, "samples": 2000},
         6: {"delta_groups": ["cyclic:5", "cyclic:8", "cyclic:12", "symmetric:3",
                              "symmetric:4", "psl2:5", "sl2:5", "psl2:7", "sl2:7"],
             "corr_groups": ["symmetric:4", "sl2:5"], "trials": 100},
@@ -76,7 +76,7 @@ PROFILES = {
         1: {"groups": ["symmetric:3", "symmetric:4", "psl2:5"]},
         2: {"groups": ["symmetric:3", "symmetric:4", "psl2:5"], "trials": 5},
         3: {"groups": ["cyclic:5", "cyclic:8", "cyclic:12"]},
-        4: {"exact": ["sl2:5"], "sampled": [], "trials": 5, "samples": 500},
+        4: {"groups": ["sl2:5"], "trials": 5, "samples": 500},
         6: {"delta_groups": ["cyclic:8", "symmetric:3", "symmetric:4"],
             "corr_groups": ["symmetric:4"], "trials": 5},
         7: {"groups": ["symmetric:3", "symmetric:4"], "trials": 5},
@@ -125,14 +125,14 @@ def degrees_by_float_diagonalization(G, seed=0):
     return tuple(sorted(degrees))
 
 
-def crit_degrees(groups, master=0, build=build_group):
+def crit_degrees(groups, master=0):
     rows = []
-    for desc in groups:
-        G = build(desc)
+    for G in groups:
         deg = character_degrees(G)
-        rows.append(Check("degree_invariants", desc, measured=float(min(deg.degrees[1:], default=1)),
+        rows.append(Check("degree_invariants", G.desc,
+                          measured=float(min(deg.degrees[1:], default=1)),
                           passed=degrees_hold(G, deg.degrees), report=deg))
-    G = build("psl2:5")
+    G = build_group("psl2:5")      # the oracle's fixed group, whatever the inputs
     oracle = degrees_by_float_diagonalization(G, seed=derive_seed(master, "oracle"))
     dixon = tuple(sorted(character_degrees(G).degrees))
     rows.append(Check("psl2:5_oracle_crosscheck", "psl2:5", measured=float(oracle[1]),
@@ -141,27 +141,25 @@ def crit_degrees(groups, master=0, build=build_group):
     return Outcome(rows, rows)
 
 
-def crit_mixing(groups, trials, master=0, build=build_group):
+def crit_mixing(groups, trials, master=0):
     records, rows = [], []
-    for desc in groups:
-        G = build(desc)
+    for G in groups:
         D = quasirandom_degree(G)
         checks = [c for kind in ("right", "left", "conjugation")
                   for c in mixing_checks(G, kind, trials, master)]
         records += checks
         rows += [c for c in checks if not c.passed]
-        rows.append(Check("mixing_bound", desc, measured=float(D),
+        rows.append(Check("mixing_bound", G.desc, measured=float(D),
                           passed=all(c.passed for c in checks)))
     return Outcome(records, rows)
 
 
-def crit_sharpness(groups, master=0, build=build_group):
+def crit_sharpness(groups, master=0):
     """The character pair x -> exp(2 pi i x / n) on cyclic:n attains the
     mixing bound with equality.  Nothing is drawn: master is taken only so
     that run_verify calls every criterion but 4 and 5 alike."""
     rows = []
-    for desc in groups:
-        G = build(desc)
+    for G in groups:
         n = G.order
         chi = Observable(ProbabilitySpace.uniform(n), np.exp(2j * np.pi * np.arange(n) / n))
         measured = mixing_error(cached_action(G, "left"), chi, chi)
@@ -171,15 +169,13 @@ def crit_sharpness(groups, master=0, build=build_group):
     return Outcome(rows, rows)
 
 
-def recurrence_reports(exact, sampled, trials, samples, master=0, build=build_group):
-    """Triple-recurrence reports shared by criteria 4 and 5."""
-    reports = []
-    for desc in exact + sampled:
-        G = build(desc)
-        for t in range(trials):
-            reports.append(recurrence_trial(G, derive_seed(master, "recurrence", desc, t),
-                                            None if desc in exact else samples))
-    return reports
+def recurrence_reports(groups, trials, samples, master=0):
+    """Triple-recurrence reports shared by criteria 4 and 5, `trials` per
+    group, each over every g or over `samples` seeded g: groups.plan decides
+    from |G|, as for the sweep's and the CLI's recurrence."""
+    return [recurrence_trial(G, derive_seed(master, "recurrence", G.desc, t),
+                             plan("recurrence", G.desc, G.order, samples))
+            for G in groups for t in range(trials)]
 
 
 def crit_recurrence(reports):
@@ -201,25 +197,24 @@ def crit_cases(reports):
     return Outcome(rows, rows)
 
 
-def crit_vdc(delta_groups, corr_groups, trials, master=0, build=build_group):
+def crit_vdc(delta_groups, corr_groups, trials, master=0):
     rows = []
-    for desc in delta_groups:
-        G = build(desc)
+    for G in delta_groups:
         n = G.order
         fam = VectorFamily(group=G, space=ProbabilitySpace.uniform(n),
                            vectors=math.sqrt(n) * np.eye(n, dtype=np.complex128))
         res = vdc_check(fam, Observable(fam.space, np.ones(n)))
         good = (abs(res.epsilon_lhs - 1.0 / n) <= CLOSED_FORM_RTOL / n
                 and abs(res.rhs_integral - res.bound) <= IDENTITY_TOL)
-        rows.append(Check("vdc_delta_closed_form", desc, bound=res.bound,
+        rows.append(Check("vdc_delta_closed_form", G.desc, bound=res.bound,
                           measured=res.rhs_integral, passed=good, report=res))
     records = list(rows)
-    for desc in corr_groups:
-        G = build(desc)
-        checks = [vdc_trial(G, derive_seed(master, "vdc", desc, t), None, t) for t in range(trials)]
+    for G in corr_groups:
+        checks = [vdc_trial(G, derive_seed(master, "vdc", G.desc, t), None, t)
+                  for t in range(trials)]
         records += checks
         rows += [c for c in checks if not c.passed]
-        rows.append(Check("vdc_correlation", desc, passed=all(c.passed for c in checks)))
+        rows.append(Check("vdc_correlation", G.desc, passed=all(c.passed for c in checks)))
     return Outcome(records, rows)
 
 
@@ -229,17 +224,16 @@ def _worst(name, desc, checks):
     return Check(name, desc, measured=worst, passed=worst <= IDENTITY_TOL)
 
 
-def crit_projection(groups, trials, master=0, build=build_group):
+def crit_projection(groups, trials, master=0):
     records, rows = [], []
-    for desc in groups:
-        G = build(desc)
+    for G in groups:
         space = ProbabilitySpace.uniform(G.order)
         ones = Observable(space, np.ones(G.order))
         checks = []
         for kind in ("left", "right", "conjugation"):
             a = cached_action(G, kind)
             for t in range(trials):
-                seed = derive_seed(master, "projection", desc, kind, t)
+                seed = derive_seed(master, "projection", G.desc, kind, t)
                 f = random_observable(space, derive_seed(seed, "f"))
                 h = random_observable(space, derive_seed(seed, "h"))
                 pf = invariant_projection(a, f)
@@ -251,50 +245,48 @@ def crit_projection(groups, trials, master=0, build=build_group):
                 if kind in ("left", "right"):
                     mean = inner(space, f, ones)
                     dev = max(dev, float(np.max(np.abs(pf.values - mean))))
-                checks.append(Check("ergodic_projection", desc, kind, t, measured=dev))
+                checks.append(Check("ergodic_projection", G.desc, kind, t, measured=dev))
         records += checks
-        rows.append(_worst("ergodic_projection", desc, checks))
+        rows.append(_worst("ergodic_projection", G.desc, checks))
     return Outcome(records, rows)
 
 
-def crit_reduction(groups, master=0, build=build_group):
+def crit_reduction(groups, master=0):
     records, rows = [], []
-    for desc in groups:
-        G = build(desc)
+    for G in groups:
         space = ProbabilitySpace.uniform(G.order)
         checks = []
         for kind in ("conjugation", "left"):
             a = cached_action(G, kind)
             for t in range(3):
-                seed = derive_seed(master, "reduction", desc, kind, t)
+                seed = derive_seed(master, "reduction", G.desc, kind, t)
                 f1 = random_observable(space, derive_seed(seed, "f1"))
                 f2 = random_observable(space, derive_seed(seed, "f2"))
                 worst = max(disc for _, _, disc in reduction_identity_check(a, f1, f2, range(G.order)))
-                checks.append(Check("reduction_identity", desc, kind, t, measured=worst))
+                checks.append(Check("reduction_identity", G.desc, kind, t, measured=worst))
         records += checks
-        rows.append(_worst("reduction_identity", desc, checks))
+        rows.append(_worst("reduction_identity", G.desc, checks))
     return Outcome(records, rows)
 
 
-def crit_gram(groups, master=0, build=build_group):
+def crit_gram(groups, master=0):
     rows = []
-    for desc in groups:
-        G = build(desc)
+    for G in groups:
         space = ProbabilitySpace.uniform(G.order)
-        seed = derive_seed(master, "gram", desc)
+        seed = derive_seed(master, "gram", G.desc)
         f2 = Observable(space, random_observable(space, derive_seed(seed, "f2")).values.real)
         f3 = Observable(space, random_observable(space, derive_seed(seed, "f3")).values.real)
         worst = max(gram_identity_check(G, f2, f3, g, h).discrepancy
                     for g in range(G.order) for h in range(G.order))
-        rows.append(Check("gram_identity", desc, measured=worst, passed=worst <= IDENTITY_TOL))
+        rows.append(Check("gram_identity", G.desc, measured=worst, passed=worst <= IDENTITY_TOL))
     return Outcome(rows, rows)
 
 
-def crit_estimator(groups, seeds, samples, master=0, build=build_group):
+def crit_estimator(groups, seeds, samples, master=0):
     """Per seed, measured is |estimate - exact| and ci the estimate's half-width."""
     records, rows = [], []
-    for desc in groups:
-        a = cached_action(build(desc), "left")
+    for G in groups:
+        desc, a = G.desc, cached_action(G, "left")
         f1 = random_observable(a.space, derive_seed(master, "estimator", desc, "f1"))
         f2 = random_observable(a.space, derive_seed(master, "estimator", desc, "f2"))
         exact = mixing_error(a, f1, f2)
@@ -331,16 +323,14 @@ def run_verify(out_dir, master_seed=0, profile="full"):
         raise ValueError("profile must be one of %s" % ", ".join(PROFILES))
     if not 0 <= master_seed < 2**64:
         raise ValueError("master_seed must be in [0, 2^64)")
-    p = PROFILES[profile]
     build = functools.lru_cache(maxsize=None)(build_group)     # each group once per run
+    inputs = {num: {key: [build(d) for d in v] if isinstance(v, list) else v
+                    for key, v in entry.items()} for num, entry in PROFILES[profile].items()}
     all_rows = []
     summary = {"master_seed": master_seed, "profile": profile, "criteria": {}}
-    rec_reports = recurrence_reports(**p[4], master=master_seed, build=build)
+    rec_reports = recurrence_reports(**inputs[4], master=master_seed)
     for num, name, func in CRITERIA:
-        if num in (4, 5):
-            out = func(rec_reports)
-        else:
-            out = func(**p[num], master=master_seed, build=build)
+        out = func(rec_reports) if num in (4, 5) else func(**inputs[num], master=master_seed)
         ok = all(c.passed for c in out.rows)
         all_rows.extend(check_row(c, CSV_COLUMNS, criterion=num) for c in out.rows)
         summary["criteria"][str(num)] = {"name": name, "pass": ok}

@@ -44,7 +44,7 @@ def check(num, name, ok, detail=""):
 
 
 def test_criterion_01_character_degrees():
-    records = verify.crit_degrees(SUITE, MASTER, build=group).records
+    records = verify.crit_degrees([group(d) for d in SUITE], MASTER).records
     degrees = {r.group: r.report.degrees for r in records if r.name == "degree_invariants"}
     ok = list(degrees) == SUITE
     for desc, deg in degrees.items():
@@ -63,7 +63,7 @@ def test_criterion_01_character_degrees():
 
 
 def test_criterion_02_mixing_bound():
-    reps = [r.report for r in verify.crit_mixing(SUITE, 200, MASTER, build=group).records]
+    reps = [r.report for r in verify.crit_mixing([group(d) for d in SUITE], 200, MASTER).records]
     ok = len(reps) == 200 * 3 * len(SUITE) and all(rep.mode == "exact" for rep in reps)
     ok &= all(rep.measured <= rep.bound + 1e-9 for rep in reps)
     worst = max(rep.measured - rep.bound for rep in reps)
@@ -76,8 +76,8 @@ def test_criterion_02_mixing_bound():
 
 
 def test_criterion_03_sharpness_witness():
-    records = verify.crit_sharpness(["cyclic:5", "cyclic:8", "cyclic:12"], MASTER,
-                                    build=group).records
+    records = verify.crit_sharpness([group(d) for d in ["cyclic:5", "cyclic:8", "cyclic:12"]],
+                                    MASTER).records
     ok = len(records) == 3
     ok &= all(abs(r.measured - 1.0) <= 1e-10 for r in records)
     check(3, "cyclic character pair achieves mixing error 1 within 1e-10", ok)
@@ -89,8 +89,8 @@ def test_criterion_03_sharpness_witness():
 
 @pytest.fixture(scope="module")
 def recurrence_reports():
-    return verify.recurrence_reports(["sl2:5", "sl2:7", "sl2:13"], ["sl2:37"],
-                                     trials=20, samples=2000, master=MASTER, build=group)
+    return verify.recurrence_reports([group(d) for d in ["sl2:5", "sl2:7", "sl2:13", "sl2:37"]],
+                                     trials=20, samples=2000, master=MASTER)
 
 
 @pytest.mark.slow
@@ -100,6 +100,10 @@ def test_criterion_04_triple_recurrence(recurrence_reports):
     ok &= all(rep.measured_total <= 4.0 * rep.D ** -0.25 + 1e-9 for rep in reps)
     sl2_37 = [rep for rep in reps if rep.group == "sl2:37"]
     ok &= len(sl2_37) == 20 and all(rep.D == 18 for rep in sl2_37)
+    # every g of |G| <= 3000, 2000 sampled g of sl2:37 (|G| = 50,616)
+    ok &= [(rep.group, rep.mode, rep.samples) for rep in reps] == \
+        [(d, "exact", None) for d in ("sl2:5", "sl2:7", "sl2:13") for _ in range(20)] + \
+        [("sl2:37", "monte_carlo", 2000)] * 20
     ok &= 4.0 * 18 ** -0.25 < 2.0     # non-vacuous against the trivial ceiling
     check(4, "triple recurrence <= 4 D^(-1/4), sl2 p in {5,7,13} exact, p=37 sampled", ok)
 
@@ -123,8 +127,8 @@ def test_criterion_05_case_decomposition(recurrence_reports):
 def test_criterion_06_van_der_corput():
     small = [d for d in SUITE if group(d).order <= 512] + \
         ["cyclic:5", "cyclic:8", "cyclic:12"]
-    records = verify.crit_vdc(small, ["symmetric:4", "sl2:5"], 100, MASTER,
-                              build=group).records
+    records = verify.crit_vdc([group(d) for d in small],
+                              [group(d) for d in ["symmetric:4", "sl2:5"]], 100, MASTER).records
     delta = [r for r in records if r.name == "vdc_delta_closed_form"]
     corr = [r.report for r in records if r.name == "vdc_correlation"]
     ok = len(delta) == 9 and len(corr) == 200
@@ -143,7 +147,7 @@ def test_criterion_06_van_der_corput():
 
 def test_criterion_07_mean_ergodic_projection():
     groups = [d for d in SUITE if group(d).order <= 360]
-    records = verify.crit_projection(groups, 50, MASTER, build=group).records
+    records = verify.crit_projection([group(d) for d in groups], 50, MASTER).records
     worst = max(r.measured for r in records)
     ok = len(records) == 50 * 3 * len(groups) == 900
     ok &= worst <= 1e-10
@@ -157,7 +161,7 @@ def test_criterion_07_mean_ergodic_projection():
 
 def test_criterion_08_reduction_identity():
     groups = [d for d in SUITE if group(d).order <= 60]
-    records = verify.crit_reduction(groups, MASTER, build=group).records
+    records = verify.crit_reduction([group(d) for d in groups], MASTER).records
     worst = max(r.measured for r in records)
     ok = len(records) == 3 * 2 * len(groups) == 18
     ok &= worst <= 1e-10
@@ -171,7 +175,7 @@ def test_criterion_08_reduction_identity():
 
 def test_criterion_09_gram_identity():
     groups = [d for d in SUITE if group(d).order <= 60]
-    records = verify.crit_gram(groups, MASTER, build=group).records
+    records = verify.crit_gram([group(d) for d in groups], MASTER).records
     worst = max(r.measured for r in records)
     ok = [r.group for r in records] == groups == ["symmetric:3", "symmetric:4", "psl2:5"]
     ok &= worst <= 1e-10
@@ -185,7 +189,7 @@ def test_criterion_09_gram_identity():
 
 def test_criterion_10_estimator_consistency():
     groups = ["cyclic:64", "symmetric:5"]
-    records = verify.crit_estimator(groups, 100, 200, MASTER, build=group).records
+    records = verify.crit_estimator([group(d) for d in groups], 100, 200, MASTER).records
     ok = len(records) == 200
     for desc in groups:
         seeds = [r for r in records if r.group == desc]

@@ -1,7 +1,8 @@
 """The span tracer in perfbench/ wraps qrmix functions and methods by name;
 every name it lists must exist in the package, as must every name the
 package exports.  The `verify` subcommand's options and run_verify's
-parameters match one to one."""
+parameters match one to one, and verify's profiles spell every descriptor
+canonically."""
 
 import argparse
 import importlib
@@ -47,6 +48,17 @@ def test_verify_options_are_run_verify_parameters():
     options = [renamed.get(a.dest, a.dest) for a in sub.choices["verify"]._actions
                if not isinstance(a, argparse._HelpAction)]
     assert sorted(options) == sorted(inspect.signature(run_verify).parameters)
+
+
+def test_verify_profiles_spell_descriptors_canonically():
+    """verify names its rows by G.desc, the canonical spelling: a profile
+    descriptor spelled otherwise would rename its rows unnoticed."""
+    from qrmix.groups import canonical_descriptor
+    from qrmix.verify import PROFILES
+
+    descs = [d for profile in PROFILES.values() for entry in profile.values()
+             for value in entry.values() if isinstance(value, list) for d in value]
+    assert len(descs) > 20 and [canonical_descriptor(d) for d in descs] == descs
 
 
 _LAZY_IMPORT_CHECK = """
