@@ -14,7 +14,7 @@ import numpy as np
 from .actions import (Observable, SpaceMismatchError, cached_action, gather_blocks, inner,
                       invariant_projection, random_observable)
 from .characters import quasirandom_degree
-from .groups import EXACT_MAX_ORDER, PASS_TOL, check_samples, plan
+from .groups import EXACT_MAX_ORDER, PASS_TOL, plan
 from .seeding import derive_seed
 
 CI_Z = 2.58  # 99% normal confidence
@@ -25,6 +25,7 @@ class MixingReport:
     group: str
     action: str
     D: float
+    epsilon: float            # D^(-1/2)
     bound: float
     measured: float
     mode: str                 # "exact" | "monte_carlo"
@@ -63,7 +64,7 @@ def mixing_error(a, f1, f2):
 
 def monte_carlo_mixing_error(a, f1, f2, samples, seed):
     """Seeded estimate of the mixing error; returns (estimate, ci_halfwidth)."""
-    check_samples("mixing", samples)
+    plan("mixing", a.group.desc, a.group.order, samples, seed, exact_max_order=0)
     ref = inner(a.space, invariant_projection(a, f1), invariant_projection(a, f2))
     rng = np.random.default_rng(seed)
     gs = rng.integers(0, a.group.order, samples)
@@ -86,7 +87,7 @@ def mixing_bound_check(G, kind, trials, seed, mc_samples=2000, exact_max_order=E
         measured, ci = ((mixing_error(a, f1, f2), None) if samples is None else
                         monte_carlo_mixing_error(a, f1, f2, samples,
                                                  derive_seed(seed, G.desc, kind, t, "mc")))
-        reports.append(MixingReport(G.desc, kind, D, eps * f1.norm2 * f2.norm2, measured,
+        reports.append(MixingReport(G.desc, kind, D, eps, eps * f1.norm2 * f2.norm2, measured,
                                     "exact" if samples is None else "monte_carlo", trial=t,
                                     samples=samples, seed=seed, ci_halfwidth=ci))
     return reports

@@ -183,8 +183,8 @@ def checked_class_count(desc, experiments):
 
 def mixing_checks(G, kind, trials, master, **planned):
     """mixing_bound_check's reports on one action as checks."""
-    return [Check("mixing_bound", G.desc, kind, rep.trial, rep.bound, rep.measured,
-                  ci=rep.ci_halfwidth, report=rep, cells={"epsilon": 1.0 / math.sqrt(rep.D)})
+    return [Check("mixing_bound", G.desc, kind, rep.trial, rep.bound, rep.measured, rep.passed,
+                  ci=rep.ci_halfwidth, report=rep)
             for rep in mixing_bound_check(G, kind, trials, master, **planned)]
 
 
@@ -205,8 +205,9 @@ def vdc_trial(G, seed, samples, trial):
     res = vdc_check(correlation_family(G, f2, f3), f, samples=samples,
                     seed=derive_seed(seed, "gh"))
     return Check("vdc_correlation", G.desc, trial=trial, bound=res.bound, measured=res.rhs_integral,
-                 report=res, cells={"seed": seed, "epsilon": res.epsilon_lhs,
-                                    "bound_total": res.bound, "measured_total": res.rhs_integral})
+                 passed=res.passed, report=res,
+                 cells={"seed": seed, "epsilon": res.epsilon_lhs, "bound_total": res.bound,
+                        "measured_total": res.rhs_integral})
 
 
 def experiment_checks(cfg, G, exp):
@@ -231,7 +232,8 @@ def experiment_checks(cfg, G, exp):
     samples = plan(exp, desc, G.order, cfg.mc_samples, master, cfg.exact_max_order)
     reports = [recurrence_trial(G, seed, samples) for seed in seeds]
     return [Check("triple_recurrence", desc, trial=t, bound=rep.bound_total,
-                  measured=rep.measured_total, report=rep, cells={"seed": seeds[t]})
+                  measured=rep.measured_total, passed=rep.passed, report=rep,
+                  cells={"seed": seeds[t]})
             for t, rep in enumerate(reports)]
 
 

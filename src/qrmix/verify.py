@@ -170,30 +170,27 @@ def crit_sharpness(groups, master=0):
 
 
 def recurrence_reports(groups, trials, samples, master=0):
-    """Triple-recurrence reports shared by criteria 4 and 5, `trials` per
-    group, each over every g or over `samples` seeded g: groups.plan decides
-    from |G|, as for the sweep's and the CLI's recurrence."""
-    return [recurrence_trial(G, derive_seed(master, "recurrence", G.desc, t),
-                             plan("recurrence", G.desc, G.order, samples))
+    """(trial, report) pairs of the triple recurrence, shared by criteria 4
+    and 5: `trials` per group, numbered from 0 within each group as its
+    seeds are.  groups.plan decides from |G| whether a report averages over
+    every g or over `samples` seeded g, as for the sweep's and the CLI's."""
+    return [(t, recurrence_trial(G, derive_seed(master, "recurrence", G.desc, t),
+                                 plan("recurrence", G.desc, G.order, samples)))
             for G in groups for t in range(trials)]
 
 
 def crit_recurrence(reports):
     rows = [Check("triple_recurrence", rep.group, rep.mode, t, 4.0 * rep.D ** -0.25,
-                  rep.measured_total, report=rep) for t, rep in enumerate(reports)]
+                  rep.measured_total, report=rep) for t, rep in reports]
     return Outcome(rows, rows)
 
 
 def crit_cases(reports):
-    rows = []
-    for t, rep in enumerate(reports):
-        eps = rep.D ** -0.5
-        good = (rep.measured_case_i <= eps + PASS_TOL
-                and rep.measured_case_ii <= math.sqrt(5.0 * eps) + PASS_TOL
-                and rep.measured_total <= rep.measured_case_i + rep.measured_case_ii + PASS_TOL)
-        rows.append(Check("case_decomposition", rep.group, rep.mode, t,
-                          eps + math.sqrt(5.0 * eps), rep.measured_case_i + rep.measured_case_ii,
-                          good, report=rep))
+    """Each report's own verdict (RecurrenceReport.passed) against its total
+    bound, with the sum of its two cases as the measured value."""
+    rows = [Check("case_decomposition", rep.group, rep.mode, t, rep.bound_total,
+                  rep.measured_case_i + rep.measured_case_ii, rep.passed, report=rep)
+            for t, rep in reports]
     return Outcome(rows, rows)
 
 

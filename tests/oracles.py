@@ -4,14 +4,16 @@ The oracles recompute quantities from first principles (brute-force
 enumeration, dense float linear algebra, the group axioms, Bessel's
 inequality) without touching the package's own algorithms beyond the
 element-index interface.  The fixtures build inputs for the tests (the
-trivial action) and load perfbench's modules by path.
+trivial action), load perfbench's modules by path and read peak memory.
 """
 
+import contextlib
 import importlib.util
 import itertools
 import math
 import os
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,17 @@ def perfbench_module(name):
     sys.modules[spec.name] = module     # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """tracemalloc on for the with block, which calls the function it yields
+    for (bytes held, peak bytes) allocated since the block began."""
+    tracemalloc.start()
+    try:
+        yield tracemalloc.get_traced_memory
+    finally:
+        tracemalloc.stop()
 
 
 def sl2_elements(p):

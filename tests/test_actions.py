@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,12 +332,9 @@ def test_custom_action_keeps_int64_rows_without_a_copy():
     table (13.9 MB on sl2:11), which a copy would double."""
     G = build_group("sl2:11")
     rows = np.asarray(G.table, dtype=np.int64)      # the left action, g.x = gx
-    tracemalloc.start()
-    try:
+    with oracles.traced_memory() as memory:
         a = ActionTable(G, ProbabilitySpace.uniform(G.order), "custom", rows=rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = memory()[1]
     assert peak < rows.nbytes // 4
     for g in (0, 5, G.order - 1):
         assert np.array_equal(a.inv_row(g), cached_action(G, "left").inv_row(g))

@@ -9,11 +9,12 @@ import sys
 import pytest
 
 from qrmix import ExperimentConfig, ConfigError, build_group, character_degrees, emit_plot_data, run_sweep
-from qrmix import cli, mixing_bound_check, sweep, verify
+from qrmix import cli, mixing_bound_check, recurrence, sweep, verify
 from qrmix.characters import DegreeMultiset
 from qrmix.groups import plan
 from qrmix.cli import main
-from qrmix.sweep import RESULT_COLUMNS, Check, write_results
+from qrmix.seeding import derive_seed
+from qrmix.sweep import RESULT_COLUMNS, Check, check_row, recurrence_trial, write_results
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +102,20 @@ def test_recurrence_csv(capsys):
     for r in rows:
         assert float(r["measured_total"]) <= float(r["bound_total"]) + 1e-9
         assert r["pass"] == "true"
+
+
+@pytest.mark.parametrize("errors", [(0.5, 0.9, 0.1), (2.0, 0.1, 0.1)],
+                         ids=["case-i-above-eps", "total-above-the-cases"])
+def test_recurrence_fails_a_trial_whose_case_bound_fails(capsys, monkeypatch, errors):
+    """On sl2:5 (eps = 0.707, bound_total = 2.587) both totals are within
+    bound_total, but case (i) is above eps or the total above case i + case
+    ii: the CLI row fails and exits 1, and the sweep counts the failure."""
+    monkeypatch.setattr(recurrence, "_triple_errors", lambda *args: errors)
+    code, out, _ = run_cli(capsys, "recurrence", "-g", "sl2:5", "--trials", "1")
+    assert code == 1 and [r["pass"] for r in _parse_csv(out)] == ["false"]
+    cfg = ExperimentConfig(groups=["sl2:5"], experiments=["recurrence"], trials=1)
+    _, summary = sweep.sweep_group(cfg, build_group("sl2:5"))
+    assert summary["experiments"]["recurrence"]["fail_count"] == 1
 
 
 def test_vdc_csv(capsys):
@@ -389,6 +404,8 @@ def test_out_makes_a_missing_directory(tmp_path, capsys, command):
 # last digits moved, by at most 1.8e-15 relative.  The sweep's two files are
 # 7649b7c's: its config covers D = inf (cyclic:1), all three actions, exact and
 # sampled mixing and recurrence (psl2:7 is above exact_max_order 100), and vdc.
+# verify_results.csv's five criterion-5 bounds moved in their last digit when
+# they came to be read from the report's bound_total, ε = 1/√D, not D^(-1/2).
 
 
 def _qrmix_env(blas_threads="1"):
@@ -507,6 +524,31 @@ def test_verify_quick_passes_and_writes(tmp_path, capsys):
     assert out.count("PASS") == 10 and "FAIL" not in out
     assert (tmp_path / "verify_results.csv").exists()
     assert (tmp_path / "verify_summary.json").exists()
+
+
+def test_verify_numbers_recurrence_trials_within_each_group():
+    G5, G7 = build_group("sl2:5"), build_group("sl2:7")
+    reports = verify.recurrence_reports([G5, G7], 2, None)
+    for crit in (verify.crit_recurrence, verify.crit_cases):
+        rows = crit(reports).rows
+        assert [(c.group, c.trial) for c in rows] == [("sl2:5", 0), ("sl2:5", 1),
+                                                      ("sl2:7", 0), ("sl2:7", 1)]
+    for c in verify.crit_recurrence(reports).rows[2:]:     # the row replays from its trial
+        seed = derive_seed(0, "recurrence", "sl2:7", c.trial)
+        assert c.measured == recurrence_trial(G7, seed, None).measured_total
+
+
+def test_verify_and_sweep_print_one_bound_total(monkeypatch):
+    """Criterion 5's row and the sweep's and the CLI's recurrence rows of
+    one report show its bound_total in the same bytes."""
+    G = build_group("sl2:5")
+    (_, rep), = verify.recurrence_reports([G], 1, None)
+    row5, = [check_row(c, verify.CSV_COLUMNS) for c in verify.crit_cases([(0, rep)]).rows]
+    monkeypatch.setattr(sweep, "recurrence_trial", lambda *args: rep)
+    cfg = ExperimentConfig(groups=[G.desc], experiments=["recurrence"], trials=1)
+    swept, = sweep.experiment_checks(cfg, G, "recurrence")
+    assert row5["bound"] == check_row(swept, RESULT_COLUMNS)["bound"] == \
+        check_row(swept, cli.RECURRENCE_COLUMNS)["bound_total"] == "%.17g" % rep.bound_total
 
 
 def test_verify_fails_exactly_the_failing_criterion(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import itertools
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,14 +226,11 @@ def test_from_table_keeps_a_corrupted_table_as_planted():
 
 def test_dense_table_and_transpose_hold_two_bytes_per_entry():
     # at int32 the two tables held 8 |G|^2 bytes
-    tracemalloc.start()
-    try:
+    with oracles.traced_memory() as memory:
         G = build_group("sl2:13")
-        build_peak = tracemalloc.get_traced_memory()[1]
+        build_peak = memory()[1]
         next(G.translates([G.identity], right=True))
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+        held = memory()[0]
     size = G.order ** 2
     assert held <= 4.5 * size
     assert build_peak <= 3 * size

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from qrmix import (
 
 from qrmix.groups import PASS_TOL
 
-from oracles import WITNESS_GROUPS, isotypic_witness, trivial_action
+from oracles import WITNESS_GROUPS, isotypic_witness, traced_memory, trivial_action
 
 
 def _pair(space, seed):
@@ -137,6 +136,15 @@ def test_monte_carlo_requires_minimum_samples():
         monte_carlo_mixing_error(a, f1, f2, 10, 0)
 
 
+def test_monte_carlo_requires_a_seed():
+    # no seed would draw g from fresh entropy: two calls would disagree
+    G = build_group("sl2:5")
+    a = cached_action(G, "left")
+    f1, f2 = _pair(a.space, 40)
+    with pytest.raises(ValueError, match="needs samples and a seed"):
+        monte_carlo_mixing_error(a, f1, f2, 30, None)
+
+
 def test_monte_carlo_deterministic_in_seed():
     G = build_group("cyclic:64")
     a = cached_action(G, "left")
@@ -187,12 +195,9 @@ def test_exact_mixing_holds_no_square_temporary(kind):
     a = cached_action(G, kind)
     list(G.translates([0], right=True))     # builds the table's transpose, held by G
     f1, f2 = _pair(a.space, 64)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         mixing_error(a, f1, f2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = memory()[1]
     assert peak < G.order * G.order * 8    # half of one |G| x |G| complex array
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from qrmix import (
     Observable,
     PreconditionError,
     ProbabilitySpace,
+    RecurrenceReport,
     VectorFamily,
     build_group,
     cached_action,
@@ -31,7 +31,7 @@ from qrmix import groups
 from qrmix.groups import PASS_TOL, ROW_BLOCK
 from qrmix.recurrence import IDENTITY_TOL
 
-from oracles import WITNESS_GROUPS, bessel_check, isotypic_witness
+from oracles import WITNESS_GROUPS, bessel_check, isotypic_witness, traced_memory
 
 
 def _real(space, seed):
@@ -46,16 +46,6 @@ def _triple(space, seed):
 def _stacked(fam, gs):
     """The rows of fam.rows(gs), each block copied out of its reused buffer."""
     return np.concatenate([block.copy() for block in fam.rows(gs)])
-
-
-def _peak_bytes(fn, *args, **kwargs):
-    """Peak bytes that tracemalloc sees allocated during fn(*args, **kwargs)."""
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +137,31 @@ def test_zero_projection_f3_kills_case_i():
     f1, f2 = _real(space, 73), _real(space, 74)
     case_i, case_ii = case_decomposition(G, f1, f2, f3)
     assert case_i < 1e-14
+
+
+@pytest.mark.parametrize("total, case_i, case_ii, passed", [
+    (0.5, 0.3, 0.3, True),
+    (1.1, 0.6, 0.55, False),        # the total above its bound
+    (0.5, 0.7, 0.1, False),         # case i above its bound
+    (0.1, 0.1, 0.7, False),         # case ii above its bound
+    (0.9, 0.1, 0.1, False),         # the total above case i + case ii
+], ids=["all-hold", "total", "case-i", "case-ii", "decomposition"])
+def test_report_passes_only_when_all_four_conditions_hold(total, case_i, case_ii, passed):
+    """bound_total 1 sits below the cases' bounds 0.6 + 0.6, so each of the
+    four conditions fails while the other three hold."""
+    rep = RecurrenceReport(group="hand", D=4.0, epsilon=0.5, bound_total=1.0, bound_case_i=0.6,
+                           bound_case_ii=0.6, measured_total=total, measured_case_i=case_i,
+                           measured_case_ii=case_ii, mode="exact")
+    assert rep.passed is passed
+
+
+@pytest.mark.parametrize("mode, samples", [("exact", None), ("monte_carlo", 40)])
+def test_case_decomposition_is_the_reports_two_cases(mode, samples):
+    G = build_group("sl2:5")
+    f1, f2, f3 = _triple(ProbabilitySpace.uniform(G.order), 76)
+    rep = triple_recurrence_error(G, f1, f2, f3, mode=mode, samples=samples, seed=5)
+    assert case_decomposition(G, f1, f2, f3, mode=mode, samples=samples, seed=5) == \
+        (rep.measured_case_i, rep.measured_case_ii)
 
 
 def test_case_decomposition_norm_facts_enforced():
@@ -258,12 +273,9 @@ def test_sampled_recurrence_memory_budget():
     cached_action(G, "conjugation")
     quasirandom_degree(G)               # characters and classes, kept by G
     f1, f2, f3 = _triple(space, 88)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         triple_recurrence_error(G, f1, f2, f3, mode="monte_carlo", samples=2, seed=3)
-        left_behind, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        left_behind, peak = memory()
     assert peak <= 7 * 16 * n
     assert left_behind < n
     w = ProbabilitySpace.uniform(n).weights
@@ -297,12 +309,9 @@ def test_tiled_recurrence_memory_budget():
     whose tiles are half the group, fewer than four complex |G| arrays."""
     G, (f1, f2, f3) = _tiled_inputs()
     n = G.order
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         triple_recurrence_error(G, f1, f2, f3, mode="monte_carlo", samples=2, seed=3)
-        left_behind, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        left_behind, peak = memory()
     assert peak <= 4 * 16 * n
     assert left_behind < n
 
@@ -415,7 +424,10 @@ def test_correlation_family_rows_match_triple_rows():
 def test_correlation_family_peak_is_the_family():
     G, f2, f3 = _sl2_13_family_inputs()
     family_bytes = G.order * G.order * 16
-    assert _peak_bytes(correlation_family, G, f2, f3) < family_bytes * 9 // 8
+    with traced_memory() as memory:
+        correlation_family(G, f2, f3)
+        peak = memory()[1]
+    assert peak < family_bytes * 9 // 8
 
 
 def test_exact_checks_hold_at_most_two_square_index_arrays():
@@ -538,13 +550,18 @@ def test_sampled_vdc_holds_no_square_temporary():
     list(G.translates([0], right=True))     # builds the table's transpose, held by G
     # a quarter of one |G| x |G| complex array, however many (g, h) pairs are sampled
     for samples in (100, 5000):
-        assert _peak_bytes(vdc_check, fam, f, samples=samples, seed=5) < G.order * G.order * 4
+        with traced_memory() as memory:
+            vdc_check(fam, f, samples=samples, seed=5)
+            peak = memory()[1]
+        assert peak < G.order * G.order * 4
 
 
 def test_vdc_on_computed_rows_holds_no_family():
     G, f2, f3 = _sl2_13_family_inputs()
     f = random_observable(f2.space, 86)
-    peak = _peak_bytes(lambda: vdc_check(correlation_family(G, f2, f3), f, samples=256, seed=6))
+    with traced_memory() as memory:
+        vdc_check(correlation_family(G, f2, f3), f, samples=256, seed=6)
+        peak = memory()[1]
     assert peak < G.order * G.order * 16 // 8
 
 
