@@ -26,6 +26,7 @@ EXACT_MAX_ORDER = 3000      # default largest order that mixing and recurrence a
 VDC_EXACT_MAX = 512         # largest order whose van der Corput Gram matrix is formed
 SAMPLE_FLOOR = {"mixing": 30, "recurrence": 1, "vdc": 1}
 SAMPLE_CEILING = 10**6      # sampled g (or (g, h) pairs) per check
+CI_Z = 2.58                 # 99% normal confidence half-width of a sampled average
 PASS_TOL = 1e-9
 
 _INDEX_DTYPE = np.int64
@@ -656,6 +657,26 @@ def plan(experiment, desc, order, samples=None, seed=0, exact_max_order=EXACT_MA
         raise ValueError("%s on %s (|G| = %d) samples g, and needs samples and a seed"
                          % (experiment, desc, order))
     return check_samples(experiment, samples)
+
+
+def draw(experiment, desc, order, samples=None, seed=0, exact_max_order=EXACT_MAX_ORDER):
+    """None where plan averages every g, else its seeded sample from one
+    default_rng(seed): the m indices g, and for vdc the pair (g, h), h
+    drawn after g."""
+    m = plan(experiment, desc, order, samples, seed, exact_max_order)
+    if m is None:
+        return None
+    rng = np.random.default_rng(seed)
+    gs = rng.integers(0, order, m)
+    return (gs, rng.integers(0, order, m)) if experiment == "vdc" else gs
+
+
+def average(terms):
+    """(mean, half-width) of per-g terms: their fsum mean, and CI_Z standard
+    errors of it, None for fewer than two terms."""
+    m = len(terms)
+    half = CI_Z * float(np.std(terms, ddof=1)) / math.sqrt(m) if m > 1 else None
+    return math.fsum(terms) / m, half
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,8 @@ import numpy as np
 from .actions import (Observable, SpaceMismatchError, cached_action, gather_blocks, inner,
                       invariant_projection, random_observable)
 from .characters import quasirandom_degree
-from .groups import EXACT_MAX_ORDER, PASS_TOL, plan
+from .groups import EXACT_MAX_ORDER, PASS_TOL, average, draw, plan
 from .seeding import derive_seed
-
-CI_Z = 2.58  # 99% normal confidence
 
 
 @dataclass
@@ -31,7 +29,7 @@ class MixingReport:
     mode: str                 # "exact" | "monte_carlo"
     trial: int = 0
     samples: int = None
-    seed: int = None
+    seed: int = None          # the seed of the sampled g; None when exact
     ci_halfwidth: float = None
 
     @property
@@ -58,20 +56,14 @@ def mixing_error(a, f1, f2):
     if f1.space.size != a.space.size or f2.space.size != a.space.size:
         raise SpaceMismatchError("observables not on the action's space")
     ref = inner(a.space, invariant_projection(a, f1), invariant_projection(a, f2))
-    diffs = np.abs(_pair_correlations(a, f1, f2) - ref)
-    return math.fsum(diffs) / a.group.order
+    return average(np.abs(_pair_correlations(a, f1, f2) - ref))[0]
 
 
 def monte_carlo_mixing_error(a, f1, f2, samples, seed):
     """Seeded estimate of the mixing error; returns (estimate, ci_halfwidth)."""
-    plan("mixing", a.group.desc, a.group.order, samples, seed, exact_max_order=0)
+    gs = draw("mixing", a.group.desc, a.group.order, samples, seed, exact_max_order=0)
     ref = inner(a.space, invariant_projection(a, f1), invariant_projection(a, f2))
-    rng = np.random.default_rng(seed)
-    gs = rng.integers(0, a.group.order, samples)
-    diffs = np.abs(_pair_correlations(a, f1, f2, gs) - ref)
-    estimate = math.fsum(diffs) / samples
-    sd = float(np.std(diffs, ddof=1))
-    return estimate, CI_Z * sd / math.sqrt(samples)
+    return average(np.abs(_pair_correlations(a, f1, f2, gs) - ref))
 
 
 def mixing_bound_check(G, kind, trials, seed, mc_samples=2000, exact_max_order=EXACT_MAX_ORDER):
@@ -84,12 +76,12 @@ def mixing_bound_check(G, kind, trials, seed, mc_samples=2000, exact_max_order=E
     for t in range(trials):
         f1 = random_observable(a.space, derive_seed(seed, G.desc, kind, t, "f1"))
         f2 = random_observable(a.space, derive_seed(seed, G.desc, kind, t, "f2"))
+        mc_seed = None if samples is None else derive_seed(seed, G.desc, kind, t, "mc")
         measured, ci = ((mixing_error(a, f1, f2), None) if samples is None else
-                        monte_carlo_mixing_error(a, f1, f2, samples,
-                                                 derive_seed(seed, G.desc, kind, t, "mc")))
+                        monte_carlo_mixing_error(a, f1, f2, samples, mc_seed))
         reports.append(MixingReport(G.desc, kind, D, eps, eps * f1.norm2 * f2.norm2, measured,
                                     "exact" if samples is None else "monte_carlo", trial=t,
-                                    samples=samples, seed=seed, ci_halfwidth=ci))
+                                    samples=samples, seed=mc_seed, ci_halfwidth=ci))
     return reports
 
 

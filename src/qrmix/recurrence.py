@@ -15,7 +15,7 @@ import numpy as np
 
 from .actions import SpaceMismatchError, cached_action, gather_blocks, orbit_means
 from .characters import quasirandom_degree
-from .groups import DENSE_LIMIT, PASS_TOL, ROW_BLOCK, compose_rows, plan, row_chunks
+from .groups import DENSE_LIMIT, PASS_TOL, ROW_BLOCK, average, compose_rows, draw, row_chunks
 
 IDENTITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -205,9 +205,7 @@ def _triple_errors(G, f1, f2, f3, gs, f3_inf):
         tot.append(block_tot)
         case_i.append(block_i)
     tot, case_i = np.concatenate(tot), np.concatenate(case_i)
-    m = len(gs)
-    return (math.fsum(np.abs(tot - ref_tot)) / m, math.fsum(np.abs(case_i - ref_tot)) / m,
-            math.fsum(np.abs(tot - case_i)) / m)
+    return tuple(average(np.abs(d))[0] for d in (tot - ref_tot, case_i - ref_tot, tot - case_i))
 
 
 def triple_recurrence_error(G, f1, f2, f3, mode="exact", samples=None, seed=None):
@@ -226,26 +224,17 @@ def triple_recurrence_error(G, f1, f2, f3, mode="exact", samples=None, seed=None
                                     "(norm %.6g)" % (name, norm))
     if mode not in ("exact", "monte_carlo"):
         raise ValueError("mode must be exact or monte_carlo")
-    samples = plan("recurrence", G.desc, G.order, samples, seed,
-                   exact_max_order=G.order if mode == "exact" else 0)
-    gs = None if samples is None else np.random.default_rng(seed).integers(0, G.order, samples)
+    gs = draw("recurrence", G.desc, G.order, samples, seed,
+              exact_max_order=G.order if mode == "exact" else 0)
     D = quasirandom_degree(G)
     eps = 1.0 / math.sqrt(D)
     total, case_i, case_ii = _triple_errors(G, f1, f2, f3, gs, norms[2])
     return RecurrenceReport(
-        group=G.desc,
-        D=D,
-        epsilon=eps,
+        group=G.desc, D=D, epsilon=eps,
         bound_total=eps + math.sqrt(5.0 * eps),   # <= 4 sqrt(eps) on [0, 1]
-        bound_case_i=eps,
-        bound_case_ii=math.sqrt(5.0 * eps),
-        measured_total=total,
-        measured_case_i=case_i,
-        measured_case_ii=case_ii,
-        mode=mode,
-        samples=samples,
-        seed=None if gs is None else seed,
-    )
+        bound_case_i=eps, bound_case_ii=math.sqrt(5.0 * eps),
+        measured_total=total, measured_case_i=case_i, measured_case_ii=case_ii,
+        mode=mode, samples=None if gs is None else len(gs), seed=None if gs is None else seed)
 
 
 def case_decomposition(G, f1, f2, f3, mode="exact", samples=None, seed=None):
@@ -305,28 +294,25 @@ def vdc_check(family, f, samples=None, seed=None):
     n = G.order
     w = family.space.weights
     u = np.conj(f.values) * w
-    samples = plan("vdc", G.desc, n, samples, seed)
-    every_g = samples is None or n <= DENSE_LIMIT
+    pairs = draw("vdc", G.desc, n, samples, seed)
+    every_g = pairs is None or n <= DENSE_LIMIT
     # |conj <f, e_g>| for every g, or else for the sampled g in the loop below
     corr = [np.abs(rows @ u) for rows in family.rows(np.arange(n))] if every_g else []
-    if samples is None:
+    if pairs is None:
         E = np.concatenate([rows.copy() for rows in family.rows(np.arange(n))])
         gram = (E * w) @ np.conj(E.T)       # gram[g, h'] = <e_g, e_h'>
         epsilon_lhs = float(np.abs(gram[np.arange(n)[:, None], G.table]).sum()) / (n * n)
     else:
-        rng = np.random.default_rng(seed)
-        gs = rng.integers(0, n, samples)
-        hs = rng.integers(0, n, samples)
+        gs, hs = pairs
         vals = []
         for a, c in zip(family.rows(gs), family.rows(G.mul_pairs(gs, hs))):
             if not every_g:
                 corr.append(np.abs(a @ u))
             np.multiply(a, w, out=a)        # the rows of e_g w conj(e_gh)
             vals.append(np.abs(np.sum(np.multiply(a, np.conj(c, out=c), out=a), axis=1)))
-        epsilon_lhs = math.fsum(np.concatenate(vals)) / samples
-    corr = np.concatenate(corr)
-    rhs_integral = math.fsum(corr) / len(corr)
+        epsilon_lhs = average(np.concatenate(vals))[0]
+    rhs_integral = average(np.concatenate(corr))[0]
     bound = math.sqrt(epsilon_lhs) * f.norm2
     return VdcResult(epsilon_lhs=epsilon_lhs, rhs_integral=rhs_integral, bound=bound,
-                     mode="exact" if samples is None else "monte_carlo")
+                     mode="exact" if pairs is None else "monte_carlo")
 

@@ -298,16 +298,6 @@ def test_degrees_on_int64_products(monkeypatch):
         assert list(character_degrees(G).degrees) == closed_forms.degrees(closed_forms.parse(desc))
 
 
-def test_degrees_of_the_largest_benchmark_split():
-    # k = 162 classes: the degrees-large workload's product, pairwise products of
-    # sl2:5's closed-form degrees (twice) and cyclic:2's
-    G = build_group("product:sl2:5,product:sl2:5,cyclic:2")
-    sl2 = closed_forms.degrees(closed_forms.parse("sl2:5"))
-    assert conjugacy_classes(G).k == 162
-    assert list(character_degrees(G).degrees) == sorted(a * b * c for a in sl2 for b in sl2
-                                                        for c in (1, 1))
-
-
 def test_degrees_refuse_prime_that_overflows_int64(monkeypatch):
     # k (q - 1)^2 >= 2^63 for k = 3 classes and q = 2^31 - 1
     monkeypatch.setattr(characters, "_dixon_prime", lambda exponent, order: 2**31 - 1)
@@ -365,6 +355,8 @@ def test_product_degrees_from_factors_match_dixon_and_closed_forms():
         P = build_group(desc)
         got = list(character_degrees(P).degrees)
         assert got == sorted(_dixon_degrees(P)) == _closed_form_degrees(parse_descriptor(desc))
+    # the first, degrees-large's product, has k = 162 classes
+    assert conjugacy_classes(build_group("product:sl2:5,product:sl2:5,cyclic:2")).k == 162
     with pytest.raises(CharacterError, match="^class count 529 exceeds 512$"):
         character_degrees(build_group("product:cyclic:23,cyclic:23"))
 

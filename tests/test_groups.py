@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from qrmix import (
     conjugacy_classes,
     parse_descriptor,
 )
-from qrmix.groups import (DENSE_LIMIT, _Cyclic, _Mat2, _Product, check_samples,
-                          class_count, plan)
+from qrmix.groups import (DENSE_LIMIT, _Cyclic, _Mat2, _Product, average, check_samples,
+                          class_count, draw, plan)
 
 import oracles
 from oracles import verify_group_axioms
@@ -467,6 +469,15 @@ def test_labels_are_distinct():
 ])
 def test_plan_edges(experiment, order, exact_max_order, expected):
     assert plan(experiment, "g", order, 200, 0, exact_max_order) == expected
+    # draw's sample: the g, then for vdc the h, from one generator
+    drawn = draw(experiment, "g", order, 200, 7, exact_max_order)
+    if expected is None:
+        assert drawn is None
+    else:
+        rng = np.random.default_rng(7)
+        want = [rng.integers(0, order, 200) for _ in range(2 if experiment == "vdc" else 1)]
+        got = drawn if experiment == "vdc" else (drawn,)
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
 
 
 @pytest.mark.parametrize("experiment, order, exact_max_order, samples, seed, message", [
@@ -475,9 +486,10 @@ def test_plan_edges(experiment, order, exact_max_order, expected):
     ("mixing", 3001, 3000, 29, 0, "samples must be >= 30"),
 ])
 def test_plan_refusals_name_the_input(experiment, order, exact_max_order, samples, seed, message):
-    with pytest.raises(ValueError) as exc:
-        plan(experiment, "g", order, samples, seed, exact_max_order)
-    assert str(exc.value).startswith(message)
+    for refuse in (plan, draw):
+        with pytest.raises(ValueError) as exc:
+            refuse(experiment, "g", order, samples, seed, exact_max_order)
+        assert str(exc.value).startswith(message)
 
 
 @pytest.mark.parametrize("experiment, samples, ok", [
@@ -491,3 +503,13 @@ def test_check_samples_floor_and_ceiling(experiment, samples, ok):
     else:
         with pytest.raises(ValueError, match="samples must be >= "):
             check_samples(experiment, samples)
+
+
+def test_average_is_the_fsum_mean_and_its_normal_half_width():
+    x = np.abs(np.exp(0.7j * np.arange(40)) * np.linspace(0.1, 2.0, 40) + 0.3 - 0.1j)
+    mean, half = average(x)
+    assert mean == math.fsum(x) / len(x)
+    assert half == 2.58 * np.std(x, ddof=1) / math.sqrt(len(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert average(x[:1]) == (x[0], None)      # no one-term std

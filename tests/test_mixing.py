@@ -20,6 +20,7 @@ from qrmix import (
 )
 
 from qrmix.groups import PASS_TOL
+from qrmix.seeding import derive_seed
 
 from oracles import WITNESS_GROUPS, isotypic_witness, traced_memory, trivial_action
 
@@ -151,6 +152,21 @@ def test_monte_carlo_deterministic_in_seed():
     f1, f2 = _pair(a.space, 41)
     assert monte_carlo_mixing_error(a, f1, f2, 100, 9) == \
         monte_carlo_mixing_error(a, f1, f2, 100, 9)
+
+
+def test_sampled_report_seed_replays_its_estimate():
+    # psl2:7 (|G| = 168) samples g above exact_max_order 100, as in the golden
+    # sweep: the report's samples and seed give back its estimate and half-width
+    G = build_group("psl2:7")
+    a = cached_action(G, "left")
+    reps = mixing_bound_check(G, "left", 2, 5, mc_samples=30, exact_max_order=100)
+    for t, rep in enumerate(reps):
+        f1, f2 = (random_observable(a.space, derive_seed(5, G.desc, "left", t, s))
+                  for s in ("f1", "f2"))
+        assert (rep.mode, rep.seed) == ("monte_carlo", derive_seed(5, G.desc, "left", t, "mc"))
+        assert monte_carlo_mixing_error(a, f1, f2, rep.samples, rep.seed) == \
+            (rep.measured, rep.ci_halfwidth)
+    assert [rep.seed for rep in mixing_bound_check(G, "left", 2, 5)] == [None, None]   # exact
 
 
 def test_monte_carlo_constant_gives_zero():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,19 @@ def test_recurrence_errors_match_literal_recomputation(desc, mode):
         gs = np.random.default_rng(5).integers(0, G.order, 40)     # the report's sample of g
     want = _literal_triple_errors(G, f1, f2, f3, gs)
     got = (rep.measured_total, rep.measured_case_i, rep.measured_case_ii)
+    assert got == pytest.approx(tuple(want), rel=1e-12, abs=0)
+
+
+def test_one_sampled_g_averages_without_warning():
+    # the recurrence sample floor is 1: its averages take no one-term std
+    G = build_group("sl2:5")
+    f1, f2, f3 = _triple(ProbabilitySpace.uniform(G.order), 77)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = triple_recurrence_error(G, f1, f2, f3, mode="monte_carlo", samples=1, seed=5)
+    want = _literal_triple_errors(G, f1, f2, f3, np.random.default_rng(5).integers(0, G.order, 1))
+    got = (rep.measured_total, rep.measured_case_i, rep.measured_case_ii)
+    assert (rep.samples, rep.seed) == (1, 5)
     assert got == pytest.approx(tuple(want), rel=1e-12, abs=0)
 
 
