@@ -21,7 +21,14 @@ import numpy as np
 
 MAX_ORDER = 2_000_000
 DENSE_LIMIT = 4096          # dense int16 table and every-g vdc integral up to this order
-ROW_BLOCK = 1 << 16         # elements per block of translates and gather_blocks
+# values per block of every row stream (translates, inv_rows, gather_blocks,
+# VectorFamily.rows): an exact pass holds two intp index rows and two complex
+# gather buffers per block, 48 bytes a value, so 2^15 values (1.5 MiB) fit
+# in a 2 MiB per-core L2 cache; the triple recurrence's column tiles keep
+# their own width, COLUMN_TILE
+ROW_BLOCK = 1 << 15
+COLUMN_TILE = 1 << 16       # columns per tile of the triple recurrence: fixes its summation order
+_TRANSPOSE_TILE = 256       # table rows per tile of the kept transpose
 EXACT_MAX_ORDER = 3000      # default largest order that mixing and recurrence average exactly
 VDC_EXACT_MAX = 512         # largest order whose van der Corput Gram matrix is formed
 SAMPLE_FLOOR = {"mixing": 30, "recurrence": 1, "vdc": 1}
@@ -428,6 +435,16 @@ class _Explicit(_Backend):
 # group table
 
 
+def _tiled_transpose(table):
+    """table.T as a read-only C-ordered array, copied _TRANSPOSE_TILE rows
+    at a time, so that each tile's reads and writes stay in cache."""
+    t = np.empty(table.shape[::-1], dtype=table.dtype)
+    for s in range(0, table.shape[0], _TRANSPOSE_TILE):
+        t[:, s:s + _TRANSPOSE_TILE] = table[s:s + _TRANSPOSE_TILE].T
+    t.flags.writeable = False
+    return t
+
+
 class GroupTable:
     """A finite group with uniform probability weight 1/|G| per element."""
 
@@ -494,8 +511,7 @@ class GroupTable:
         transpose when right, else one kernel call per row (on a product, an
         outer sum of its factors' rows, written into the block in place)."""
         if right and self.table is not None and self._table_t is None:
-            self._table_t = np.ascontiguousarray(self.table.T)   # row g: y -> y g
-            self._table_t.flags.writeable = False
+            self._table_t = _tiled_transpose(self.table)   # row g: y -> y g
         table = self._table_t if right else self.table
         buf = None
         for block_gs in row_chunks(np.asarray(gs), self.order):

@@ -14,7 +14,7 @@ import numpy as np
 from .actions import (Observable, SpaceMismatchError, cached_action, gather_blocks, inner,
                       invariant_projection, random_observable)
 from .characters import quasirandom_degree
-from .groups import EXACT_MAX_ORDER, PASS_TOL, average, draw, plan
+from .groups import EXACT_MAX_ORDER, PASS_TOL, average, draw
 from .seeding import derive_seed
 
 
@@ -51,19 +51,24 @@ def _pair_correlations(a, f1, f2, gs=None):
     return np.concatenate([np.einsum("ij,j->i", C, u) for (C,) in gather_blocks(a.inv_rows(gs), c2)])
 
 
+def _average_error(a, f1, f2, gs=None):
+    """average's (mean, half-width) of |<f1, g . f2> - <P f1, P f2>| over the
+    g in gs, every g when None: the one reduction of both mixing errors."""
+    ref = inner(a.space, invariant_projection(a, f1), invariant_projection(a, f2))
+    return average(np.abs(_pair_correlations(a, f1, f2, gs) - ref))
+
+
 def mixing_error(a, f1, f2):
     """Exact value of the mixing error functional for the action a."""
     if f1.space.size != a.space.size or f2.space.size != a.space.size:
         raise SpaceMismatchError("observables not on the action's space")
-    ref = inner(a.space, invariant_projection(a, f1), invariant_projection(a, f2))
-    return average(np.abs(_pair_correlations(a, f1, f2) - ref))[0]
+    return _average_error(a, f1, f2)[0]
 
 
 def monte_carlo_mixing_error(a, f1, f2, samples, seed):
     """Seeded estimate of the mixing error; returns (estimate, ci_halfwidth)."""
     gs = draw("mixing", a.group.desc, a.group.order, samples, seed, exact_max_order=0)
-    ref = inner(a.space, invariant_projection(a, f1), invariant_projection(a, f2))
-    return average(np.abs(_pair_correlations(a, f1, f2, gs) - ref))
+    return _average_error(a, f1, f2, gs)
 
 
 def mixing_bound_check(G, kind, trials, seed, mc_samples=2000, exact_max_order=EXACT_MAX_ORDER):
@@ -71,17 +76,19 @@ def mixing_bound_check(G, kind, trials, seed, mc_samples=2000, exact_max_order=E
     D = quasirandom_degree(G)
     eps = 1.0 / math.sqrt(D)
     a = cached_action(G, kind)
-    samples = plan("mixing", G.desc, G.order, mc_samples, seed, exact_max_order)
     reports = []
     for t in range(trials):
         f1 = random_observable(a.space, derive_seed(seed, G.desc, kind, t, "f1"))
         f2 = random_observable(a.space, derive_seed(seed, G.desc, kind, t, "f2"))
-        mc_seed = None if samples is None else derive_seed(seed, G.desc, kind, t, "mc")
-        measured, ci = ((mixing_error(a, f1, f2), None) if samples is None else
-                        monte_carlo_mixing_error(a, f1, f2, samples, mc_seed))
+        mc_seed = derive_seed(seed, G.desc, kind, t, "mc")
+        gs = draw("mixing", G.desc, G.order, mc_samples, mc_seed, exact_max_order)
+        measured, ci = _average_error(a, f1, f2, gs)
+        if gs is None:
+            mc_seed = ci = None
         reports.append(MixingReport(G.desc, kind, D, eps, eps * f1.norm2 * f2.norm2, measured,
-                                    "exact" if samples is None else "monte_carlo", trial=t,
-                                    samples=samples, seed=mc_seed, ci_halfwidth=ci))
+                                    "exact" if gs is None else "monte_carlo", trial=t,
+                                    samples=None if gs is None else len(gs), seed=mc_seed,
+                                    ci_halfwidth=ci))
     return reports
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .actions import SpaceMismatchError, cached_action, gather_blocks, orbit_means
 from .characters import quasirandom_degree
-from .groups import DENSE_LIMIT, PASS_TOL, ROW_BLOCK, average, compose_rows, draw, row_chunks
+from .groups import COLUMN_TILE, DENSE_LIMIT, PASS_TOL, average, compose_rows, draw, row_chunks
 
 IDENTITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -136,9 +136,9 @@ def triple_product_average(G, f1, f2, f3, g):
 
 
 def _column_tiles(n):
-    """slice(0, n) cut into the fewest tiles of at most ROW_BLOCK columns, of
-    near-equal length: one tile when n <= ROW_BLOCK."""
-    count = -(-n // ROW_BLOCK)
+    """slice(0, n) cut into the fewest tiles of at most COLUMN_TILE columns, of
+    near-equal length: one tile when n <= COLUMN_TILE."""
+    count = -(-n // COLUMN_TILE)
     width = -(-n // count)
     return [slice(s, min(s + width, n)) for s in range(0, n, width)]
 
@@ -154,11 +154,11 @@ def _triple_errors(G, f1, f2, f3, gs, f3_inf):
     (f3_inf) and ||f3 - P_c f3||_2 <= ||f3||_2: a PreconditionError if either
     fails.
 
-    The group is read in column tiles of at most ROW_BLOCK values
+    The group is read in column tiles of at most COLUMN_TILE values
     (_column_tiles): the reference term, the L2 guard and h are formed tile
     by tile from the orbit means, and each g's two sums add up over its
     tiles in order, from two complex tile buffers and one tile of u = f2 w
-    that every g reuses.  With |G| <= ROW_BLOCK there is one tile, and every
+    that every g reuses.  With |G| <= COLUMN_TILE there is one tile, and every
     sum is the same expression over the whole group.  So beside its inputs a
     sampled call holds h, the two intp translate rows and those three tiles:
     about two complex |G|-long arrays and three tiles at its peak.
@@ -284,7 +284,7 @@ def vdc_check(family, f, samples=None, seed=None):
     Gram matrix (at most 4 MiB).  Above that a seeded (g, h) sample
     estimates eps (the inner products stay exact), and the left side
     averages every g up to |G| = DENSE_LIMIT, the sampled g above.  Rows
-    are read only through family.rows, in reused blocks of about 2^16
+    are read only through family.rows, in reused blocks of about ROW_BLOCK
     values: beside O(|G|) values and O(samples) indices the check holds a
     few blocks, however large the group or the sample.
     """

@@ -16,7 +16,7 @@ from qrmix import (
     parse_descriptor,
 )
 from qrmix.groups import (DENSE_LIMIT, _Cyclic, _Mat2, _Product, average, check_samples,
-                          class_count, draw, plan)
+                          class_count, draw, plan, row_chunks)
 
 import oracles
 from oracles import verify_group_axioms
@@ -236,6 +236,27 @@ def test_dense_table_and_transpose_hold_two_bytes_per_entry():
     size = G.order ** 2
     assert held <= 4.5 * size
     assert build_peak <= 3 * size
+
+
+def _planted_sl2_7():
+    table = build_group("sl2:7").table.astype(np.int64)
+    table[[2, 300], [300, 9]] = table[[300, 2], [9, 300]]   # swap two products
+    return GroupTable.from_table(table, "planted sl2:7"), table
+
+
+@pytest.mark.parametrize("desc", ["sl2:7", "psl2:19", "planted"])
+def test_tiled_transpose_gives_the_table_columns(desc):
+    # 336 rows (a short last tile of 80), 3420 rows, and a planted fault that
+    # the transpose keeps as planted
+    G, table = _planted_sl2_7() if desc == "planted" else (build_group(desc), None)
+    assert G.order % 256 != 0
+    gs = np.arange(G.order)
+    for block_gs, rows in zip(row_chunks(gs, G.order), G.translates(gs, right=True)):
+        assert np.array_equal(rows, G.table.T[block_gs])
+        if table is not None:
+            assert np.array_equal(rows, table.T[block_gs])
+    assert np.array_equal(G._table_t, G.table.T)
+    assert G._table_t.flags.c_contiguous and not G._table_t.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_monte_carlo_consistent_with_exact():
     *(pytest.param(k, "sl2:13", id=k) for k in ("left", "right", "conjugation")),
     *(pytest.param(k, "sl2:17", id=k + "-sl2:17") for k in ("left", "right", "conjugation"))])
 def test_exact_mixing_matches_per_g_koopman_average(kind, desc):
-    # sl2:13: 2184 = 72 * 30 + 24, a short last row block; sl2:17: 4896, no dense table
+    # sl2:13: 2184 = 145 * 15 + 9, a short last row block; sl2:17: 4896, no dense table
     G = build_group(desc)
     a = cached_action(G, kind)
     f1, f2 = _pair(a.space, 62)

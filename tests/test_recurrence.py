@@ -29,7 +29,7 @@ from qrmix import (
     vdc_check,
 )
 from qrmix import groups
-from qrmix.groups import PASS_TOL, ROW_BLOCK
+from qrmix.groups import COLUMN_TILE, PASS_TOL, ROW_BLOCK
 from qrmix.recurrence import IDENTITY_TOL
 
 from oracles import WITNESS_GROUPS, bessel_check, isotypic_witness, traced_memory
@@ -296,11 +296,31 @@ def test_sampled_recurrence_memory_budget():
     assert w.strides == (0,) and not w.flags.writeable
 
 
+@pytest.mark.parametrize("check", ["recurrence", "conjugation-mixing"])
+def test_exact_pass_fits_a_core_l2(check):
+    """One exact pass on sl2:13 (2184 elements, blocks of 15 rows) holds its
+    two intp index rows and two complex gather buffers per block, 48 bytes a
+    value: with ROW_BLOCK values a block, at most 2 MiB, a core's L2 cache."""
+    G = build_group("sl2:13")
+    space = cached_action(G, "left").space
+    a = cached_action(G, "conjugation")
+    quasirandom_degree(G)                   # characters and classes, kept by G
+    list(G.translates([0], right=True))     # builds the table's transpose, held by G
+    f1, f2, f3 = _triple(space, 91)
+    with traced_memory() as memory:
+        if check == "recurrence":
+            triple_recurrence_error(G, f1, f2, f3)
+        else:
+            mixing_error(a, f1, f2)
+        peak = memory()[1]
+    assert peak <= 2 << 20
+
+
 def _tiled_inputs():
-    """sl2:41 (|G| = 68,880 > ROW_BLOCK, two column tiles), its cached actions,
+    """sl2:41 (|G| = 68,880 > COLUMN_TILE, two column tiles), its cached actions,
     classes and degree, and three observables on the unit disc."""
     G = build_group("sl2:41")
-    assert G.order > ROW_BLOCK
+    assert G.order > COLUMN_TILE
     space = cached_action(G, "left").space
     cached_action(G, "conjugation")
     quasirandom_degree(G)
@@ -308,7 +328,7 @@ def _tiled_inputs():
 
 
 def test_tiled_recurrence_matches_literal_recomputation():
-    """Above ROW_BLOCK each g's sums add up over column tiles: the report
+    """Above COLUMN_TILE each g's sums add up over column tiles: the report
     equals the literal per-g recomputation on the report's sample of g."""
     G, (f1, f2, f3) = _tiled_inputs()
     rep = triple_recurrence_error(G, f1, f2, f3, mode="monte_carlo", samples=3, seed=7)
@@ -318,7 +338,7 @@ def test_tiled_recurrence_matches_literal_recomputation():
 
 
 def test_tiled_recurrence_memory_budget():
-    """Above ROW_BLOCK a sampled recurrence holds, beside its inputs, h =
+    """Above COLUMN_TILE a sampled recurrence holds, beside its inputs, h =
     f1 P_c f3, the two intp translate rows and three column tiles: on sl2:41,
     whose tiles are half the group, fewer than four complex |G| arrays."""
     G, (f1, f2, f3) = _tiled_inputs()
@@ -419,7 +439,7 @@ def test_correlation_family_abelian_form():
 
 
 def _sl2_13_family_inputs():
-    # |G| = 2184 = 72 * 30 + 24: the row blocks end in a short one
+    # |G| = 2184 = 145 * 15 + 9: the row blocks end in a short one
     G = build_group("sl2:13")
     list(G.translates([0], right=True))     # builds the table's transpose, held by G
     space = cached_action(G, "left").space
@@ -617,15 +637,15 @@ def test_correlation_family_rows_without_dense_table():
 
 @pytest.mark.parametrize("case", ["sl2:13", "sl2:17", "stored"])
 def test_family_rows_stream_in_reused_blocks(case):
-    if case == "sl2:13":            # 72 blocks of 30 rows and one of 24
+    if case == "sl2:13":            # 145 blocks of 15 rows and one of 9
         G, f2, f3 = _sl2_13_family_inputs()
         fam, gs = correlation_family(G, f2, f3), np.random.default_rng(9).permutation(G.order)
-    elif case == "sl2:17":          # no dense table: a block of 13 rows and one of 1
+    elif case == "sl2:17":          # no dense table: two blocks of 6 rows and one of 2
         G = build_group("sl2:17")
         space = ProbabilitySpace.uniform(G.order)
         f2, f3 = random_observable(space, 10), random_observable(space, 11)
         fam, gs = correlation_family(G, f2, f3), np.arange(0, G.order, 350)
-    else:                           # blocks of 195 rows of the stored array
+    else:                           # blocks of 97 rows of the stored array
         fam = _delta_family(build_group("sl2:7"))
         gs = np.random.default_rng(9).integers(0, 336, 400)
     views, blocks = [], []
