@@ -156,13 +156,13 @@ class ActionTable:
         R[L] (g^-1 x g), and custom its stored rows at g^-1."""
         G, gs = self.group, np.asarray(gs)
         if self.kind == "left":
-            return G.translates(G.inv[gs])
+            return G.translates(G.inverses(gs))
         if self.kind == "right":
             return G.translates(gs, right=True)
         if self.kind == "conjugation":
-            return (compose_rows(L, R) for L, R in zip(G.translates(G.inv[gs]),
+            return (compose_rows(L, R) for L, R in zip(G.translates(G.inverses(gs)),
                                                        G.translates(gs, right=True)))
-        return (self._rows[G.inv[chunk]] for chunk in row_chunks(gs, self.space.size))
+        return (self._rows[G.inverses(chunk)] for chunk in row_chunks(gs, self.space.size))
 
     def inv_row(self, g):
         """x -> g^-1 . x, the row behind the Koopman operator."""
@@ -171,7 +171,7 @@ class ActionTable:
     def act_row(self, g):
         """x -> g . x over all points of X.  Kept for perfbench's tracer, which
         wraps it by name; act and the tests read it."""
-        return self.inv_row(self.group.inv[g])
+        return self.inv_row(self.group.inverses(g))
 
     def act(self, g, x):
         return int(self.act_row(g)[x])

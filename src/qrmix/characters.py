@@ -58,16 +58,19 @@ def class_matrices(G, C, classes):
     counts the pairs (x, y) in C_i x C_j with xy in C_l, which is
     |C_i| #{y in C_j : x_i y in C_l} for the representative x_i: one row of
     the group each, read into one buffer.  An int16 copy of the class table,
-    the int32 codes k class_of(y) and that row buffer are built once per call
-    (k <= MAX_CLASSES) and dropped with the generator."""
+    the intp codes k class_of(y) and that row buffer are built once per call
+    (k <= MAX_CLASSES) and dropped with the generator.  The class-of gather
+    is added into the row buffer, so bincount reads intp codes in place: no
+    |G|-long sum or cast copy per matrix."""
     k = check_class_count(C.k)
     narrow = C.class_of.astype(np.int16)
-    codes = narrow.astype(np.int32) * k
+    codes = C.class_of * k
     sizes = np.asarray(C.class_sizes)[:, None]
     row = np.empty(G.order, dtype=np.intp)
     for i in classes:
         G.mul_vec(C.representatives[i], out=row)
-        counts = np.bincount(codes + narrow.take(row), minlength=k * k).reshape(k, k)
+        np.add(codes, narrow.take(row), out=row)
+        counts = np.bincount(row, minlength=k * k).reshape(k, k)
         num = C.class_sizes[i] * counts.T                 # [l, j]
         if np.any(num % sizes):
             raise CharacterError("class %d's structure constants are not integers "
@@ -313,7 +316,7 @@ def _dixon_degrees(G, C):
     rank = np.arange(k - 1) - np.searchsorted(rest_sizes, rest_sizes)
     order = rest[np.argsort(rank, kind="stable")].tolist()
     vectors = _split_spaces((M % q for M in class_matrices(G, C, order)), q)
-    inv_class = C.class_of[G.inv[C.representatives]]
+    inv_class = C.class_of[G.inverses(C.representatives)]
     sizes = np.asarray(C.class_sizes, dtype=np.int64) % q
     size_inv = np.array([pow(int(s), q - 2, q) for s in sizes], dtype=np.int64)
     degrees = []

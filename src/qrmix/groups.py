@@ -1,13 +1,15 @@
 """Finite groups as dense index structures with normalized counting measure.
 
 Elements are indices 0..n-1.  Each backend has two multiplication kernels:
-mul_pairs, the elementwise product of two index arrays, and row, the full row
-x -> g x (or x -> x g); by default a row is one mul_pairs over every element,
-and permutations, SL(2,p) matrices and direct products (an outer sum of their
-factors' rows) compute it faster.  Groups of order up to DENSE_LIMIT carry a
-full int16 multiplication table, its rows composed from the generators' rows.
-GroupTable.mul_vec and vec_mul serve every shape: a full row is read from the
-table, else from backend.row; an index array goes through mul_pairs.
+mul_pairs, the elementwise product of two index arrays, and row, the row
+x -> g x (or x -> x g) over every element or over a column range; by default a
+row is one mul_pairs, and permutations, SL(2,p) matrices and direct products
+(an outer sum of their factors' rows) compute it faster.  A backend's inv(idx)
+gives the inverses of the indices asked for alone.  Groups of order up to
+DENSE_LIMIT carry a full int16 multiplication table, its rows composed from
+the generators' rows.  GroupTable.mul_vec and vec_mul serve every shape: a row
+is read from the table, else from backend.row; an index array goes through
+mul_pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ DENSE_LIMIT = 4096          # dense int16 table and every-g vdc integral up to t
 # VectorFamily.rows): an exact pass holds two intp index rows and two complex
 # gather buffers per block, 48 bytes a value, so 2^15 values (1.5 MiB) fit
 # in a 2 MiB per-core L2 cache; the triple recurrence's column tiles keep
-# their own width, COLUMN_TILE
+# their own width, COLUMN_TILE.  An SL(2,p) kernel row is filled ROW_BLOCK
+# values at a time, through a ROW_BLOCK-long scratch
 ROW_BLOCK = 1 << 15
 COLUMN_TILE = 1 << 16       # columns per tile of the triple recurrence: fixes its summation order
 _TRANSPOSE_TILE = 256       # table rows per tile of the kept transpose
@@ -55,6 +58,11 @@ def into(out, row):
     return row if out is None else out
 
 
+def span(cols, n):
+    """(start, stop) of the column range cols, a slice, of an n-long row."""
+    return cols.indices(n)[:2]
+
+
 def row_chunks(gs, width):
     """gs in consecutive slices of max(1, ROW_BLOCK // width) entries (the
     last may be shorter): the block length of every stream of rows of that
@@ -77,8 +85,8 @@ def compose_rows(L, R):
 class _Backend:
     """Multiplication kernels on element indices.
 
-    Subclasses set ``n`` and ``identity`` and implement mul_pairs; a subclass
-    with a faster full row overrides row.
+    Subclasses set ``n`` and ``identity`` and implement mul_pairs and inv; a
+    subclass with a faster row overrides row.
     """
 
     n = 0
@@ -88,13 +96,16 @@ class _Backend:
         """is_ * js elementwise (equal-length arrays)."""
         raise NotImplementedError
 
-    def row(self, g, right=False, out=None):
-        """The full row x -> g x (x -> x g when right), into out when given:
-        one mul_pairs over every element."""
-        xs, gs = np.arange(self.n, dtype=_INDEX_DTYPE), np.full(self.n, g, dtype=_INDEX_DTYPE)
+    def row(self, g, right=False, out=None, cols=slice(None)):
+        """The row x -> g x (x -> x g when right) over the column range cols
+        (a slice, every element by default), into out when given: one
+        mul_pairs over those elements."""
+        xs = np.arange(*span(cols, self.n), dtype=_INDEX_DTYPE)
+        gs = np.full(len(xs), g, dtype=_INDEX_DTYPE)
         return into(out, self.mul_pairs(xs, gs) if right else self.mul_pairs(gs, xs))
 
-    def inv_all(self):
+    def inv(self, idx):
+        """The inverses of the 1-D index array idx."""
         raise NotImplementedError
 
     def generators(self):
@@ -140,8 +151,8 @@ class _Cyclic(_Backend):
     def mul_pairs(self, is_, js):
         return (np.asarray(is_, dtype=_INDEX_DTYPE) + np.asarray(js)) % self.n
 
-    def inv_all(self):
-        return (-np.arange(self.n, dtype=_INDEX_DTYPE)) % self.n
+    def inv(self, idx):
+        return -np.asarray(idx, dtype=_INDEX_DTYPE) % self.n
 
     def generators(self):
         return [1] if self.n > 1 else []
@@ -170,8 +181,7 @@ class _Dihedral(_Backend):
         sign = 1 - 2 * b
         return self._join((a + b) % 2, (m + k * sign) % self.rot)
 
-    def inv_all(self):
-        idx = np.arange(self.n, dtype=_INDEX_DTYPE)
+    def inv(self, idx):
         a, k = self._split(idx)
         # (s^a r^k)^-1 = r^-k for a=0, itself for a=1
         return self._join(a, np.where(a == 0, (-k) % self.rot, k))
@@ -211,17 +221,17 @@ class _Perm(_Backend):
     def _index_of(self, perms):
         return np.searchsorted(self.codes, self._code(perms))
 
-    def row(self, g, right=False, out=None):
+    def row(self, g, right=False, out=None, cols=slice(None)):
         # (p_g o p_x)(y) = p_g[p_x[y]], (p_x o p_g)(y) = p_x[p_g[y]]
-        pg = self.perms[g]
-        return into(out, self._index_of(self.perms[:, pg] if right else pg[self.perms]))
+        pg, px = self.perms[g], self.perms[cols]
+        return into(out, self._index_of(px[:, pg] if right else pg[px]))
 
     def mul_pairs(self, is_, js):
         pi, pj = self.perms[np.asarray(is_)], self.perms[np.asarray(js)]
         return self._index_of(compose_rows(pj, pi))     # (p_i o p_j)(x) = p_i[p_j[x]]
 
-    def inv_all(self):
-        return self._index_of(np.argsort(self.perms, axis=1))
+    def inv(self, idx):
+        return self._index_of(np.argsort(self.perms[idx], axis=1))
 
     def generators(self):
         if self.deg < 2:
@@ -247,9 +257,11 @@ class _Mat2(_Backend):
     The pair codes of every element are written block by block in index
     order, from aranges and one p^2 table: a = 0 in (b, d) order, where
     c = -1/b, then a != 0 in (a, b, c) order, where d = (1 + bc)/a is the
-    table (1 + bc) mod p times 1/a.  inv_all reads the inverse's row codes
-    off the column codes through two more p^2 tables, with no arithmetic on
-    the entries.
+    table (1 + bc) mod p times 1/a.  inv reads the inverses' row codes off
+    the column codes of the indices asked for through two more p^2 tables,
+    with no arithmetic on the entries.  Beside those four |G|-long code
+    arrays the backend keeps only p^2-entry tables and a ROW_BLOCK-long
+    scratch of row.
     """
 
     def __init__(self, p, projective):
@@ -280,6 +292,7 @@ class _Mat2(_Backend):
         # tables over the pair codes u * p + v; neg: the pair as a first row
         # needs the matrix negated; _Z picks the second pair's table section
         u, v = self._uv = np.divmod(np.arange(p * p, dtype=_INDEX_DTYPE), p)
+        self._ar, self._mod = ar, np.arange(2 * p - 1, dtype=_INDEX_DTYPE) % p
         neg = (u > h) | (u == 0) & (v > h)
         su, sv = np.where(neg, -u % p, u), np.where(neg, -v % p, v)
         rank = su * p + sv - 1 + (h + 1 - p) * (u != 0)
@@ -289,7 +302,7 @@ class _Mat2(_Backend):
         self._CA = np.where(u == 0, 0, p * (rank - sv) + sv)   # columns (a, c), (b, d)
         self._CB = np.stack([p * u, p * (-u % p), p * (su - 1) + sv, p * (su - 1) + sv])
         self.identity = int(self._index(1, 0, 0, 1))
-        self._work = np.empty(self.n, dtype=_INDEX_DTYPE)     # scratch of row
+        self._work = np.empty(min(self.n, ROW_BLOCK), dtype=_INDEX_DTYPE)   # scratch of row
 
     def _index(self, a, b, c, d):
         """Indices of the matrices [[a, b], [c, d]], entries reduced mod p."""
@@ -299,37 +312,46 @@ class _Mat2(_Backend):
     def _entries(self, idx):
         return divmod(self._rows[0][idx], self.p) + divmod(self._rows[1][idx], self.p)
 
-    def row(self, g, right=False, out=None):
-        """Every element with both its pairs mapped by g (or g^T): the pair
-        tables composed with that map, then three gathers per element.  With
-        out given nothing is allocated but a few p^2-entry tables."""
+    def row(self, g, right=False, out=None, cols=slice(None)):
+        """Every element of the column range cols with both its pairs mapped
+        by g (or g^T): the pair tables composed with that map, then three
+        gathers per element, ROW_BLOCK elements at a time through the
+        scratch.  With out given nothing is allocated but a few p^2-entry
+        tables."""
         p = self.p
         a, b, c, d = (int(t) for t in self._entries(g))
         if right:       # x g: the rows of x mapped by g^T
             x, y, z, w, (P, Q), A, B = a, c, b, d, self._rows, self._RA, self._RB
         else:           # g x: the columns of x mapped by g
             x, y, z, w, (P, Q), A, B = a, b, c, d, self._cols, self._CA, self._CB
-        u, v = self._uv
-        M = (x * u + y * v) % p * p + (z * u + w * v) % p
+        # M[u p + v] = (x u + y v mod p) p + (z u + w v mod p), as outer sums
+        # of residues reduced through _mod: a p^2 division costs more than a row chunk
+        ar, mod = self._ar, self._mod
+        M = mod.take((x * ar % p)[:, None] + y * ar % p).ravel() * p
+        M += mod.take((z * ar % p)[:, None] + w * ar % p).ravel()
         A, B, Z = A[M], B.take(M, axis=1).ravel(), self._Z[M]
-        work = self._work
-        out = np.empty(self.n, dtype=_INDEX_DTYPE) if out is None else out
-        # mode="clip": the default "raise" copies out first; indices are in range
-        np.add(Z.take(P, out=work, mode="clip"), Q, out=work)
-        B.take(work, out=out, mode="clip")
-        return np.add(out, A.take(P, out=work, mode="clip"), out=out)
+        start, stop = span(cols, self.n)
+        out = np.empty(stop - start, dtype=_INDEX_DTYPE) if out is None else out
+        for s in range(start, stop, ROW_BLOCK):
+            t = min(s + ROW_BLOCK, stop)
+            o, work = out[s - start:t - start], self._work[:t - s]
+            # mode="clip": the default "raise" copies out first; indices are in range
+            np.add(Z.take(P[s:t], out=work, mode="clip"), Q[s:t], out=work)
+            B.take(work, out=o, mode="clip")
+            np.add(o, A.take(P[s:t], out=work, mode="clip"), out=o)
+        return out
 
     def mul_pairs(self, is_, js):
         (a, b, c, d), (x, y, z, w), p = self._entries(is_), self._entries(js), self.p
         return self._index((a * x + b * z) % p, (a * y + b * w) % p,
                            (c * x + d * z) % p, (c * y + d * w) % p)
 
-    def inv_all(self):
+    def inv(self, idx):
         """[[a, b], [c, d]]^-1 = [[d, -b], [-c, a]]: its row codes are tables
         of the column codes b p + d and a p + c, read into _index's tables."""
         p, (u, v) = self.p, self._uv
-        first = (v * p + -u % p).take(self._cols[1])
-        second = ((-v % p) * p + u).take(self._cols[0])
+        first = (v * p + -u % p).take(self._cols[1][idx])
+        second = ((-v % p) * p + u).take(self._cols[0][idx])
         second += self._Z.take(first)
         out = self._RB.ravel().take(second)
         out += self._RA.take(first)
@@ -363,18 +385,27 @@ class _Product(_Backend):
         ja, jb = self._split(js)
         return self.A.mul_pairs(ia, ja) * self.B.n + self.B.mul_pairs(ib, jb)
 
-    def row(self, g, right=False, out=None):
+    def row(self, g, right=False, out=None, cols=slice(None)):
         """A.row(ga)[:, None] * |B| + B.row(gb)[None, :] for g = (ga, gb),
-        flattened, written into out when given (a 1-D array reshapes as a
-        view); only factor-sized temporaries."""
-        ga, gb = divmod(int(g), self.B.n)
-        out = np.empty(self.n, dtype=_INDEX_DTYPE) if out is None else out
-        np.add((self.A.row(ga, right) * self.B.n)[:, None], self.B.row(gb, right)[None, :],
-               out=out.reshape(self.A.n, self.B.n))
+        flattened, over the column range cols, written into out when given (a
+        1-D array reshapes as a view).  A range of whole rows of that outer
+        sum is written in place, from the factors' rows alone; any other is
+        cut from the outer sum over the A-rows it meets."""
+        nb = self.B.n
+        ga, gb = divmod(int(g), nb)
+        start, stop = span(cols, self.n)
+        a0, a1 = start // nb, -(-stop // nb)
+        out = np.empty(stop - start, dtype=_INDEX_DTYPE) if out is None else out
+        rows = (self.A.row(ga, right, cols=slice(a0, a1)) * nb)[:, None], self.B.row(gb, right)
+        if start % nb == 0 and stop % nb == 0:
+            np.add(*rows, out=out.reshape(a1 - a0, nb))
+        else:
+            out[...] = np.add(*rows).ravel()[start - a0 * nb:stop - a0 * nb]
         return out
 
-    def inv_all(self):
-        return (self.A.inv_all()[:, None] * self.B.n + self.B.inv_all()[None, :]).ravel()
+    def inv(self, idx):
+        ia, ib = self._split(idx)
+        return self.A.inv(ia) * self.B.n + self.B.inv(ib)
 
     def generators(self):
         gens = [g * self.B.n + self.B.identity for g in self.A.generators()]
@@ -403,11 +434,12 @@ class _Explicit(_Backend):
     def mul_pairs(self, is_, js):
         return self.table[np.asarray(is_), np.asarray(js)]
 
-    def inv_all(self):
-        inv = np.full(self.n, -1, dtype=_INDEX_DTYPE)
-        rows, cols = np.nonzero(self.table == self.identity)
-        inv[rows] = cols
-        return inv
+    def inv(self, idx):
+        """The last column j of row i holding the identity, for i in idx; -1
+        where row i holds none (a planted table need not be a group)."""
+        hit = self.table[np.asarray(idx)] == self.identity
+        last = self.n - 1 - np.argmax(hit[:, ::-1], axis=1)
+        return np.where(hit.any(axis=1), last, -1)
 
     def dense_table(self):
         """The raw table as planted, narrowed to int16: composing rows would
@@ -446,7 +478,13 @@ def _tiled_transpose(table):
 
 
 class GroupTable:
-    """A finite group with uniform probability weight 1/|G| per element."""
+    """A finite group with uniform probability weight 1/|G| per element.
+
+    It keeps no |G|-long array that no check reads: above DENSE_LIMIT
+    inverses(idx) asks the backend for the inverses of idx alone, and the
+    whole inverse, inv, is built on first read (there by tests and
+    perfbench's oracles only) and then kept.
+    """
 
     def __init__(self, backend, desc):
         if backend.n > MAX_ORDER:
@@ -457,7 +495,7 @@ class GroupTable:
         self.desc = desc
         self.order = backend.n
         self.identity = backend.identity
-        self.inv = backend.inv_all()
+        self._inv = None         # the whole inverse, built on first read of inv
         self.table = None
         if self.order <= DENSE_LIMIT:
             self.table = backend.dense_table()
@@ -478,54 +516,77 @@ class GroupTable:
     def __repr__(self):
         return "GroupTable(%s, order=%d)" % (self.desc, self.order)
 
+    @property
+    def inv(self):
+        """The inverse of every element, read-only, built on first read."""
+        if self._inv is None:
+            self._inv = self.backend.inv(np.arange(self.order, dtype=_INDEX_DTYPE))
+            self._inv.flags.writeable = False
+        return self._inv
+
+    def inverses(self, idx):
+        """The inverses of the indices idx (an int or an array, of any shape).
+        A group with a dense table reads them from inv, at most DENSE_LIMIT
+        entries beside its |G|^2 table, since a per-g caller (the Gram check,
+        act_row) would pay the backend's fixed cost on every call; a larger
+        group asks the backend for idx alone."""
+        if self.table is not None:
+            return self.inv[idx]
+        idx = np.asarray(idx, dtype=_INDEX_DTYPE)
+        return self.backend.inv(idx.ravel()).reshape(idx.shape)
+
     def mul(self, i, j):
         if self.table is not None:
             return int(self.table[i, j])
         return int(self.backend.mul_pairs(np.array([i]), np.array([j]))[0])
 
-    def mul_vec(self, i, js=None, out=None):
-        """i * js elementwise, js None meaning every element; into out when given."""
+    def mul_vec(self, i, js=None, out=None, cols=slice(None)):
+        """i * js elementwise, js None meaning every element of the column
+        range cols (a slice, all by default); into out when given."""
         if js is not None:
             return into(out, self.mul_pairs(np.full(np.shape(js), i, dtype=_INDEX_DTYPE), js))
         if self.table is None:
-            return self.backend.row(i, False, out)
-        return into(out, self.table[i])
+            return self.backend.row(i, False, out, cols)
+        return into(out, self.table[i, cols])
 
-    def vec_mul(self, is_, j, out=None):
-        """is_ * j elementwise, is_ None meaning every element; into out when given."""
+    def vec_mul(self, is_, j, out=None, cols=slice(None)):
+        """is_ * j elementwise, is_ None meaning every element of the column
+        range cols (a slice, all by default); into out when given."""
         if is_ is not None:
             return into(out, self.mul_pairs(is_, np.full(np.shape(is_), j, dtype=_INDEX_DTYPE)))
         if self.table is None:
-            return self.backend.row(j, True, out)
-        return into(out, self.table[:, j])
+            return self.backend.row(j, True, out, cols)
+        return into(out, self.table[cols, j])
 
     def mul_pairs(self, is_, js):
         if self.table is not None:
             return self.table[np.asarray(is_), np.asarray(js)]
         return self.backend.mul_pairs(is_, js)
 
-    def translates(self, gs, right=False):
-        """The rows y -> g y (y -> y g when right) for g in gs, in the blocks of
-        row_chunks(gs, |G|), each a view of one intp buffer that the next block
-        overwrites.  A block is one gather from the table, or from its
-        transpose when right, else one kernel call per row (on a product, an
-        outer sum of its factors' rows, written into the block in place)."""
+    def translates(self, gs, right=False, cols=slice(None)):
+        """The rows y -> g y (y -> y g when right) for g in gs, over the column
+        range cols (a slice, every y by default), in the blocks of
+        row_chunks(gs, width of cols), each a view of one intp buffer that the
+        next block overwrites.  A block is one gather from the table, or from
+        its transpose when right, else one kernel call per row (on a product,
+        an outer sum of its factors' rows, written into the block in place)."""
         if right and self.table is not None and self._table_t is None:
             self._table_t = _tiled_transpose(self.table)   # row g: y -> y g
         table = self._table_t if right else self.table
+        start, stop = span(cols, self.order)
         buf = None
-        for block_gs in row_chunks(np.asarray(gs), self.order):
+        for block_gs in row_chunks(np.asarray(gs), stop - start):
             if buf is None:
-                buf = np.empty((len(block_gs), self.order), dtype=np.intp)
+                buf = np.empty((len(block_gs), stop - start), dtype=np.intp)
             block = buf[:len(block_gs)]
             if table is not None:
-                block[...] = table[block_gs]
+                block[...] = table[block_gs, cols]
             elif right:
                 for row, g in zip(block, block_gs):
-                    self.vec_mul(None, int(g), out=row)
+                    self.vec_mul(None, int(g), out=row, cols=cols)
             else:
                 for row, g in zip(block, block_gs):
-                    self.mul_vec(int(g), out=row)
+                    self.mul_vec(int(g), out=row, cols=cols)
             yield block
 
     def generators(self):
@@ -630,7 +691,7 @@ def canonical_descriptor(desc):
 
 
 def group_order(desc):
-    """|G| of a descriptor, from its backend alone (no table, no inverses)."""
+    """|G| of a descriptor, from its backend alone (no table)."""
     return _build_backend(parse_descriptor(desc)).n
 
 
@@ -715,7 +776,7 @@ def conjugacy_classes(G):
     if G._conjugacy is not None:
         return G._conjugacy
     # conjugation by each generator, as a permutation of the elements
-    conj = [G.vec_mul(None, int(G.inv[g])).take(G.mul_vec(g)) for g in G.generators()]
+    conj = [G.vec_mul(None, int(G.inverses(g))).take(G.mul_vec(g)) for g in G.generators()]
     # low[x]: a member of x's class, <= x.  int32 (|G| <= MAX_ORDER < 2^31)
     # halves the traffic of the gathers; class_of below is int64 again.  Each
     # round gathers into spare, and the pointer jump low[low] swaps the two

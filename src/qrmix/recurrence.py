@@ -78,7 +78,7 @@ def _correlation_rows(G, v2, v3, gs):
     row y -> yg, in blocks over the translates; per block the stream holds its
     two translates buffers and one output buffer."""
     buf = None
-    for L, R in zip(G.translates(G.inv[gs]), G.translates(gs, right=True)):
+    for L, R in zip(G.translates(G.inverses(gs)), G.translates(gs, right=True)):
         if buf is None:
             buf = np.empty(L.shape, dtype=np.complex128)
         block = np.take(v2, L, out=buf[:len(L)], mode="clip")
@@ -143,6 +143,18 @@ def _column_tiles(n):
     return [slice(s, min(s + width, n)) for s in range(0, n, width)]
 
 
+def _tile_rows(G, gs, cols):
+    """Per block of row_chunks(gs, |G|), its rows y -> gy and y -> yg over
+    each column tile c of cols in turn, as (c, L, R).  One tile reads whole
+    blocks of the translates.  Several tiles mean |G| > COLUMN_TILE >
+    ROW_BLOCK, so each block is one g, whose two rows are asked for one tile
+    at a time: no |G|-long index row is held."""
+    if len(cols) == 1:
+        return ([(cols[0], L, R)] for L, R in zip(G.translates(gs), G.translates(gs, right=True)))
+    return (((c, next(G.translates([g], cols=c)), next(G.translates([g], True, c))) for c in cols)
+            for g in gs)
+
+
 def _triple_errors(G, f1, f2, f3, gs, f3_inf):
     """Per-g total/case-i/case-ii deviations, averaged over gs (None: every g).
 
@@ -158,10 +170,11 @@ def _triple_errors(G, f1, f2, f3, gs, f3_inf):
     (_column_tiles): the reference term, the L2 guard and h are formed tile
     by tile from the orbit means, and each g's two sums add up over its
     tiles in order, from two complex tile buffers and one tile of u = f2 w
-    that every g reuses.  With |G| <= COLUMN_TILE there is one tile, and every
+    that every g reuses.  Each g's translate rows are asked for tile by tile
+    too (_tile_rows).  With |G| <= COLUMN_TILE there is one tile, and every
     sum is the same expression over the whole group.  So beside its inputs a
-    sampled call holds h, the two intp translate rows and those three tiles:
-    about two complex |G|-long arrays and three tiles at its peak.
+    sampled call holds h, two intp translate tiles and those three tiles:
+    one complex |G|-long array and five tiles at its peak.
     """
     n = G.order
     mean_l, orbit_l = orbit_means(cached_action(G, "left"), f2)
@@ -187,21 +200,21 @@ def _triple_errors(G, f1, f2, f3, gs, f3_inf):
     # rows the longest
     tot, case_i, bufs, u_col = [], [], None, None
     u_buf = np.empty(cols[0].stop, dtype=np.complex128)
-    for L, R in zip(G.translates(gs), G.translates(gs, right=True)):
-        if bufs is None:
-            bufs = np.empty((2, L[:, cols[0]].size), dtype=np.complex128)
+    for block in _tile_rows(G, gs, cols):
         block_tot = block_i = 0
-        for c in cols:
-            Lc = L[:, c]
-            A1, A3 = (b[:Lc.size].reshape(Lc.shape) for b in bufs)
+        for c, L, R in block:
+            if bufs is None:
+                bufs = np.empty((2, L.size), dtype=np.complex128)
+            A1, A3 = (b[:L.size].reshape(L.shape) for b in bufs)
             if c is not u_col:      # with one tile, u is formed once
-                u, u_col = np.multiply(v2[c], w[c], out=u_buf[:Lc.shape[1]]), c
+                u, u_col = np.multiply(v2[c], w[c], out=u_buf[:L.shape[1]]), c
             # mode="clip": the default "raise" copies out first; indices are in range
-            np.take(v1, Lc, out=A1, mode="clip")
-            np.take(v3, R[:, c], out=A3, mode="clip")
+            np.take(v1, L, out=A1, mode="clip")
+            np.take(v3, R, out=A3, mode="clip")
             block_tot = block_tot + np.einsum("ij,ij,j->i", A1, A3, u)
-            np.take(h, Lc, out=A3, mode="clip")         # A3 now holds h(gy)
+            np.take(h, L, out=A3, mode="clip")          # A3 now holds h(gy)
             block_i = block_i + np.einsum("ij,j->i", A3, u)
+            del L, R        # before the next tile's rows are made
         tot.append(block_tot)
         case_i.append(block_i)
     tot, case_i = np.concatenate(tot), np.concatenate(case_i)
@@ -267,7 +280,7 @@ def gram_identity_check(G, f2, f3, g, h):
     # R: one pass over the translates
     gs = [g, G.mul(g, h), h]
     blocks = [(v2[L], v3[compose_rows(L, R)], R.copy())
-              for L, R in zip(G.translates(G.inv[gs]), G.translates(gs, right=True))]
+              for L, R in zip(G.translates(G.inverses(gs)), G.translates(gs, right=True))]
     A2, A3, right = (np.concatenate(b) for b in zip(*blocks))
     e_g, e_gh = A2[:2] * A3[:2]
     lhs = complex(np.sum(e_g * e_gh * w))

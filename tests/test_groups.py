@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,12 +12,17 @@ from hypothesis import strategies as st
 from qrmix import (
     GroupConstructionError,
     GroupTable,
+    Observable,
+    ProbabilitySpace,
     build_group,
+    character_degrees,
     conjugacy_classes,
     parse_descriptor,
+    random_observable,
+    triple_recurrence_error,
 )
-from qrmix.groups import (DENSE_LIMIT, _Cyclic, _Mat2, _Product, average, check_samples,
-                          class_count, draw, plan, row_chunks)
+from qrmix.groups import (DENSE_LIMIT, ROW_BLOCK, _Cyclic, _Mat2, _Product, average,
+                          check_samples, class_count, draw, plan, row_chunks)
 
 import oracles
 from oracles import verify_group_axioms
@@ -153,7 +159,7 @@ def test_sl2_pair_codes_over_full_range(p, projective):
     assert np.array_equal(B._cols[0], a * p + c) and np.array_equal(B._cols[1], b * p + d)
     assert codes[B.identity] == p**3 + 1           # [[1, 0], [0, 1]]
     x = np.arange(B.n)
-    assert np.all(B.mul_pairs(x, B.inv_all()) == B.identity)
+    assert np.all(B.mul_pairs(x, B.inv(x)) == B.identity)
 
 
 def test_dihedral_relations():
@@ -172,6 +178,73 @@ def test_inverses_multiply_to_identity():
         xs = np.arange(G.order, dtype=np.int64)
         assert np.all(G.mul_pairs(xs, G.inv) == G.identity)
         assert np.all(G.mul_pairs(G.inv, xs) == G.identity)
+
+
+def _planted_without_inverses():
+    """sl2:5's table (identity 20) with no identity left in row 3 (3 * 91 made
+    3 * 0) and a second one in row 4, at column 119 past its inverse, 116."""
+    table = build_group("sl2:5").table.astype(np.int64)
+    table[3, 91] = table[3, 0]
+    table[4, 119] = 20
+    return GroupTable.from_table(table, "planted sl2:5")
+
+
+INVERSE_DESCS = ["cyclic:1", "cyclic:7", "dihedral:5", "symmetric:4", "sl2:5", "psl2:7",
+                 "sl2:61", "product:dihedral:3,psl2:5", "planted"]
+
+
+@pytest.mark.parametrize("desc", INVERSE_DESCS)
+def test_inverses_asked_for_match_the_whole_inverse(desc):
+    # backend.inv(idx) is the whole inverse read at idx, in any order and with
+    # repeats, and G.inverses keeps idx's shape, from the whole inverse with a
+    # dense table and from the backend without (sl2:61)
+    G = _planted_without_inverses() if desc == "planted" else build_group(desc)
+    idx = np.random.default_rng(21).integers(0, G.order, 40)
+    asked = G.backend.inv(idx)
+    assert np.array_equal(G.inverses(idx.reshape(5, 8)), asked.reshape(5, 8))
+    assert int(G.inverses(idx[0])) == asked[0]
+    assert (G._inv is None) == (G.table is None)
+    whole = G.inv
+    assert not whole.flags.writeable and G.inv is whole
+    assert np.array_equal(whole[idx], asked)
+    if desc != "planted":       # the kernel itself, not a dense table
+        xs = np.arange(G.order)
+        assert np.all(G.backend.mul_pairs(xs, whole) == G.identity)
+        assert np.all(G.backend.mul_pairs(whole, xs) == G.identity)
+
+
+def test_planted_table_inverse_is_minus_one_where_a_row_misses_the_identity():
+    # as the whole-table scan gave: the last identity column of each row, -1
+    # where there is none
+    G = _planted_without_inverses()
+    table, e = G.backend.table, G.identity
+    want = np.full(G.order, -1)
+    rows, cols = np.nonzero(table == e)
+    want[rows] = cols
+    assert want[3] == -1 and want[4] == G.order - 1
+    assert np.array_equal(G.backend.inv(np.arange(G.order)), want)
+    assert np.array_equal(G.inverses([4, 3, 0]), want[[4, 3, 0]])
+
+
+def test_psl2_101_checks_never_build_the_whole_inverse(monkeypatch):
+    # build, classes, degrees and a sampled recurrence each ask for the
+    # inverses of a few elements: generators, representatives, sampled g
+    asked = []
+    inv = _Mat2.inv
+
+    def record(self, idx):
+        asked.append(len(idx))
+        return inv(self, idx)
+
+    monkeypatch.setattr(_Mat2, "inv", record)
+    G = build_group("psl2:101")
+    C = conjugacy_classes(G)
+    character_degrees(G)
+    space = ProbabilitySpace.uniform(G.order)
+    fs = [Observable(space, random_observable(space, s).values / 2) for s in (1, 2, 3)]
+    triple_recurrence_error(G, *fs, mode="monte_carlo", samples=2, seed=4)
+    assert G._inv is None
+    assert asked and max(asked) <= C.k
 
 
 @settings(max_examples=50, deadline=None)
@@ -329,6 +402,70 @@ def test_index_arrays_without_dense_table_match_full_rows_and_pairs(desc):
         for side, want in ((False, left), (True, right)):
             assert G.backend.row(g, side, out) is out
             assert np.array_equal(out, want)
+
+
+def _column_ranges(n):
+    """Column ranges of an n-long row: all of it, each end, one across every
+    ROW_BLOCK boundary inside it, and an empty one."""
+    cuts = [slice(0, n), slice(0, min(n, 5)), slice(max(0, n - 7), n), slice(n // 2, n // 2)]
+    cuts += [slice(b - 3, min(n, b + 5)) for b in range(ROW_BLOCK, n, ROW_BLOCK)]
+    return cuts + [slice(n // 3, n - n // 5)]
+
+
+@pytest.mark.parametrize("desc", ["cyclic:5000", "dihedral:2500", "symmetric:7", "sl2:13",
+                                  "psl2:41", "sl2:37", "psl2:101", "product:cyclic:2,sl2:13",
+                                  "product:sl2:5,product:sl2:5,cyclic:2", "planted"])
+def test_row_column_ranges_match_the_full_row_and_pairs(desc):
+    # psl2:41 (34,440) and sl2:37 (50,616) fill two ROW_BLOCK chunks,
+    # psl2:101 (515,100) sixteen; product ranges start and stop inside and
+    # on the factors' rows
+    G, _ = _planted_sl2_7() if desc == "planted" else (build_group(desc), None)
+    B, n = G.backend, G.order
+    xs = np.arange(n)
+    cuts = _column_ranges(n)
+    if isinstance(B, _Product):
+        nb = B.B.n
+        cuts += [slice(nb, 3 * nb), slice(nb - 1, 2 * nb + 1), slice(2 * nb, 2 * nb + 1)]
+    for g in np.random.default_rng(22).integers(0, n, 2):
+        for right in (False, True):
+            full = B.row(g, right)
+            pairs = B.mul_pairs(xs, np.full(n, g)) if right else B.mul_pairs(np.full(n, g), xs)
+            assert np.array_equal(full, pairs)
+            for c in cuts:
+                out = np.full(len(xs[c]), -1, dtype=np.intp)
+                assert B.row(g, right, out, c) is out
+                assert np.array_equal(out, full[c]), (g, right, c)
+                assert np.array_equal(B.row(g, right, cols=c), full[c]), (g, right, c)
+
+
+@pytest.mark.parametrize("desc", ["sl2:7", "psl2:41", "product:cyclic:2,sl2:13"])
+def test_translates_over_a_column_range_are_the_rows_cut(desc):
+    # from the table and its transpose (sl2:7), else from kernel rows
+    G = build_group(desc)
+    gs = np.random.default_rng(23).integers(0, G.order, 5)
+    c = slice(G.order // 3, G.order - 11)
+    for right in (False, True):
+        whole = np.concatenate([b.copy() for b in G.translates(gs, right)])
+        cut = np.concatenate([b.copy() for b in G.translates(gs, right, c)])
+        assert np.array_equal(cut, whole[:, c])
+
+
+def test_sl2_kernel_keeps_one_row_block_of_scratch():
+    # psl2:101: the backend holds its four |G|-long pair-code arrays, thirteen
+    # p^2-entry tables and one ROW_BLOCK of scratch; a row with out given
+    # allocates its seven p^2-entry tables and nothing as long as a chunk
+    p = 101
+    with oracles.traced_memory() as memory:
+        B = _Mat2(p, projective=True)
+        held = memory()[0]
+        assert B._work.size == ROW_BLOCK
+        assert held <= 4 * 8 * B.n + 8 * ROW_BLOCK + 14 * 8 * p * p
+        out = np.empty(B.n, dtype=np.intp)
+        for right in (False, True):
+            base = memory()[0]
+            tracemalloc.reset_peak()
+            B.row(12345, right, out)
+            assert memory()[1] - base < 8 * 8 * p * p
 
 
 def test_explicit_backend_rows_land_in_out():
